@@ -6,7 +6,8 @@ original argument vector, which is enough to reproduce the outputs
 byte-identically.
 
 Exit codes: 0 success, 2 usage error, 3 hypothesis violation, 4 resource
-guard exceeded.
+guard exceeded, 5 internal check failed (a bug, or a factorization breakdown
+on a block too large to diagonalize).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import HypothesisViolationError, PreconditionError, ResourceGuardError
+from .errors import (HypothesisViolationError, InternalCheckError, PreconditionError,
+                     ResourceGuardError)
 from .experiments import (DEFAULTS, ExperimentParams, cluster_density_profile,
                           continuity_probe, convergence_study, estimate_ids,
                           ids_jump, jump_window_for_catalog, log_hoelder_check,
@@ -398,6 +400,9 @@ def run(argv) -> int:
     except ResourceGuardError as exc:
         print(f"error: resource-guard: {exc}", file=sys.stderr)
         return 4
+    except InternalCheckError as exc:
+        print(f"error: internal-check: {exc}", file=sys.stderr)
+        return 5
     except (PreconditionError, OSError, json.JSONDecodeError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2

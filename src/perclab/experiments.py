@@ -25,8 +25,8 @@ from .model import (HoppingKernel, LatticeRegion, PotentialDistribution,
 from .operator import assemble
 from .percolation import (boundary_cluster_fraction, connected_region,
                           label_clusters)
-from .spectra import (CLUSTER_TOL, AlgebraicNumber, BlockSpectra,
-                      FiniteSpectrumCatalog, algebraic_constant)
+from .spectra import (AlgebraicNumber, BlockSpectra, FiniteSpectrumCatalog,
+                      _counts_from_eigs, algebraic_constant)
 
 RESTRICTIONS = ("box", "con")
 
@@ -192,7 +192,7 @@ def estimate_ids(params: ExperimentParams, estimator: str = "counting") -> Empir
                 if not take.any():
                     continue
                 cum = np.cumsum(v[take] ** 2, axis=1)
-                idx = np.searchsorted(w, grid - CLUSTER_TOL, side="left")
+                idx = _counts_from_eigs(w, grid, inclusive=False)
                 for col, k in enumerate(idx):
                     if k > 0:
                         acc[col] += cum[:, k - 1].sum()

@@ -13,37 +13,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from .errors import PreconditionError, ResourceGuardError
 from .model import Configuration, HoppingKernel
 
 SUBGRAPH_GUARD = 10 ** 7
-
-
-class UnionFind:
-    """Path compression + union by size over integer elements."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 @dataclass
@@ -71,7 +47,7 @@ class ClusterLabeling:
 
 
 def label_clusters(config: Configuration, kernel: HoppingKernel) -> ClusterLabeling:
-    """Union-find labeling of the active sites of core + collar."""
+    """Connected components of the active sites of core + collar."""
     region = config.region
     if region.collar < kernel.hop_range:
         raise PreconditionError(
@@ -80,24 +56,25 @@ def label_clusters(config: Configuration, kernel: HoppingKernel) -> ClusterLabel
         )
     active = config.active
     n = len(region)
-    uf = UnionFind(n)
     idx = np.flatnonzero(active)
+    heads, tails = [idx[:0]], [idx[:0]]  # a stencil may have no hops
     for v, _ in kernel.half_offsets():
         targets = region.shift_indices(idx, v)
         ok = targets >= 0
         ok[ok] = active[targets[ok]]
-        for a, b in zip(idx[ok].tolist(), targets[ok].tolist()):
-            uf.union(a, b)
+        heads.append(idx[ok])
+        tails.append(targets[ok])
+    heads = np.concatenate(heads)
+    tails = np.concatenate(tails)
+    graph = sp.csr_matrix((np.ones(len(heads), dtype=np.int8), (heads, tails)), shape=(n, n))
+    _, component = csgraph.connected_components(graph, directed=False)
 
-    labels = np.full(n, -1, dtype=np.int64)
-    roots = np.fromiter((uf.find(i) for i in idx.tolist()), dtype=np.int64, count=len(idx))
     # deterministic ids: smallest member index per cluster
-    root_min = {}
-    for i, r in zip(idx.tolist(), roots.tolist()):
-        if r not in root_min:
-            root_min[r] = i
-    labels[idx] = np.fromiter((root_min[r] for r in roots.tolist()),
-                              dtype=np.int64, count=len(idx))
+    component = component[idx]
+    smallest = np.full(n, n, dtype=np.int64)
+    np.minimum.at(smallest, component, idx)
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[idx] = smallest[component]
 
     ids, counts = np.unique(labels[idx], return_counts=True)
     ring = idx[(region.shell[idx] >= 1) & (region.shell[idx] <= kernel.hop_range)]

@@ -1,13 +1,14 @@
 """Spectral kernels.
 
-Counting is inertia-first: the number of eigenvalues below a shift is read
-off the signs of the pivots of a symmetric factorization of A - E*Id, with a
+Counting has one definition on every route, with tau = CLUSTER_TOL:
+N(E) = #{lambda < E - tau} and, inclusive, N<=(E) = #{lambda <= E + tau}.
+Blocks up to DENSE_BLOCK_MAX are diagonalized and counted against the shifted
+energy.  Larger blocks read the count off the inertia of a symmetric
+factorization (Sturm recurrence or sparse LU) of A - (E -/+ tau)*Id, with a
 fall back to dense diagonalization whenever a pivot lands within tolerance
-of zero (at a spectral point the factorization cannot decide strict vs
-inclusive, but the dense spectrum with a clustering snap can).  Exact
-integer routines (fraction-free rank, characteristic polynomials) serve jump
-multiplicities and the log-Holder machinery, where floating point is not
-good enough.
+of zero.  Exact integer routines (fraction-free rank, characteristic
+polynomials) serve jump multiplicities and the log-Holder machinery, where
+floating point is not good enough.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from .operator import DENSE_GUARD, SymmetricOperatorMatrix, assemble
 from .percolation import SubgraphCatalog
 
 PIVOT_RTOL = 1e-12        # relative pivot tolerance before aborting to dense
-CLUSTER_TOL = 1e-9        # eigenvalue clustering snap for dense counting
+CLUSTER_TOL = 1e-9        # eigenvalue clustering snap: tau in N(E) and N<=(E)
 VECTOR_RESIDUAL_RTOL = 1e-10
-LDL_DENSE_MAX = 600       # above this, factorize sparsely
-DENSE_BLOCK_MAX = 2048    # experiment engine: eager full spectra below this
+DENSE_BLOCK_MAX = 2048    # counting engine: eager full spectra up to this size
 CHARPOLY_GUARD = 64
 EXACT_DIM_GUARD = 4096
 ASSIGNMENT_GUARD = 10 ** 6
@@ -72,12 +72,6 @@ def eigs_dense(matrix: SymmetricOperatorMatrix, vectors: bool = False) -> Spectr
     return SpectrumSample(w, v, resid)
 
 
-def _count_from_eigs(eigs: np.ndarray, energy: float, inclusive: bool) -> int:
-    if inclusive:
-        return int(np.searchsorted(eigs, energy + CLUSTER_TOL, side="right"))
-    return int(np.searchsorted(eigs, energy - CLUSTER_TOL, side="left"))
-
-
 def _counts_from_eigs(eigs: np.ndarray, energies: np.ndarray, inclusive: bool) -> np.ndarray:
     if inclusive:
         return np.searchsorted(eigs, np.asarray(energies) + CLUSTER_TOL, side="right")
@@ -108,30 +102,6 @@ def _sturm_negcount_multi(diag, sub, energies, tol):
         neg += (d < 0) & ~aborted
         d = np.where(np.abs(d) <= tol, 1.0, d)
     return neg, aborted
-
-
-def _ldl_negcount(dense: np.ndarray, tol: float) -> Optional[int]:
-    """Negative-pivot count from a dense Bunch-Kaufman factorization."""
-    _, d, _ = scipy.linalg.ldl(dense)
-    n = d.shape[0]
-    neg = 0
-    k = 0
-    while k < n:
-        if k + 1 < n and (d[k + 1, k] != 0.0 or d[k, k + 1] != 0.0):
-            a, b, c = d[k, k], d[k + 1, k], d[k + 1, k + 1]
-            half_tr = 0.5 * (a + c)
-            disc = math.sqrt(max(0.25 * (a - c) ** 2 + b * b, 0.0))
-            for lam in (half_tr - disc, half_tr + disc):
-                if abs(lam) <= tol:
-                    return None
-                neg += lam < 0
-            k += 2
-        else:
-            if abs(d[k, k]) <= tol:
-                return None
-            neg += d[k, k] < 0
-            k += 1
-    return neg
 
 
 def _splu_negcount(shifted_csc, tol: float) -> Optional[int]:
@@ -176,40 +146,14 @@ def _dense_eigs_for_block(sub: SymmetricOperatorMatrix) -> np.ndarray:
 
 
 def count_below(matrix: SymmetricOperatorMatrix, energy: float, inclusive: bool = False) -> int:
-    """Number of eigenvalues < energy (or <= with the inclusive flag).
+    """N(E) = #{lambda < E - tau}, or N<=(E) = #{lambda <= E + tau} when inclusive.
 
-    Inertia of A - E*Id per connected block; a pivot within tolerance of zero
-    aborts that block to dense diagonalization so multiplicities exactly at
-    the shift are resolved by the clustering snap rather than by pivot noise.
+    tau = CLUSTER_TOL, so eigenvalues within tau of E count as at E whichever
+    route a block takes; see BlockSpectra.
     """
     if not np.isfinite(energy):
         raise PreconditionError("energy must be finite")
-    energy = float(energy)
-    tol = PIVOT_RTOL * max(1.0, matrix.norm_bound + abs(energy))
-    total = 0
-    for rows in matrix.blocks():
-        sub = matrix.submatrix(rows)
-        total += _count_block(sub, energy, inclusive, tol)
-    return total
-
-
-def _count_block(sub: SymmetricOperatorMatrix, energy, inclusive, tol) -> int:
-    n = sub.dim
-    if n == 0:
-        return 0
-    c: Optional[int]
-    tri = _tridiagonal_form(sub)
-    if tri is not None:
-        neg, aborted = _sturm_negcount_multi(tri[0], tri[1], np.array([energy]), tol)
-        c = None if aborted[0] else int(neg[0])
-    elif n <= LDL_DENSE_MAX:
-        c = _ldl_negcount(sub.to_dense() - energy * np.eye(n), tol)
-    else:
-        shifted = (sub.to_sparse() - energy * sp.identity(n, format="csr")).tocsc()
-        c = _splu_negcount(shifted, tol)
-    if c is None:
-        c = _count_from_eigs(_dense_eigs_for_block(sub), energy, inclusive)
-    return c
+    return BlockSpectra(matrix).count_below(float(energy), inclusive)
 
 
 # ---------------------------------------------------------------------------
@@ -239,30 +183,29 @@ class _LargeBlock:
             return _counts_from_eigs(self._eigs, energies, inclusive)
         energies = np.asarray(energies, dtype=np.float64)
         tol = PIVOT_RTOL * max(1.0, self.sub.norm_bound + np.abs(energies).max())
+        # inertia at a shift s counts lambda < s: N(E) at s = E - tau, and
+        # N<=(E) at s = E + tau unless an eigenvalue sits on s, where a pivot
+        # lands within tolerance and the block falls back to the dense snap
+        shifts = energies + (CLUSTER_TOL if inclusive else -CLUSTER_TOL)
         if self._tri is not None:
-            neg, aborted = _sturm_negcount_multi(self._tri[0], self._tri[1], energies, tol)
+            neg, aborted = _sturm_negcount_multi(self._tri[0], self._tri[1], shifts, tol)
             if aborted.any():
-                fixed = _counts_from_eigs(self.eigs(), energies[aborted], inclusive)
-                neg[aborted] = fixed
+                neg[aborted] = _counts_from_eigs(self.eigs(), energies[aborted], inclusive)
             return neg.astype(np.int64)
         if self._csr is None:
             self._csr = self.sub.to_sparse()
         out = np.zeros(len(energies), dtype=np.int64)
         eye = sp.identity(self.sub.dim, format="csr")
-        for k, e in enumerate(energies):
+        for k, e in enumerate(shifts):
             c = _splu_negcount((self._csr - float(e) * eye).tocsc(), tol)
-            if c is None:
-                c = _count_from_eigs(self.eigs(), float(e), inclusive)
-            out[k] = c
+            out[k] = _counts_from_eigs(self.eigs(), energies[k], inclusive) if c is None else c
         return out
 
 
 class BlockSpectra:
     """Counting service for one assembled matrix, organized by cluster block."""
 
-    def __init__(self, matrix: SymmetricOperatorMatrix,
-                 dense_block_max: int = DENSE_BLOCK_MAX,
-                 eager_spectra: bool = True):
+    def __init__(self, matrix: SymmetricOperatorMatrix, eager_spectra: bool = True):
         """eager_spectra=False builds only the block decomposition (for the
         exact-arithmetic paths); counting methods then must not be used."""
         self.matrix = matrix
@@ -318,7 +261,7 @@ class BlockSpectra:
         lens_list = lens.tolist()
         for b in range(len(blocks)):
             nb = lens_list[b]
-            if nb > dense_block_max:
+            if nb > DENSE_BLOCK_MAX:
                 self.large.append(_LargeBlock(matrix.submatrix(blocks[b]), blocks[b]))
                 continue
             if cacheable and nb <= CACHE_SITE_MAX:
@@ -382,7 +325,7 @@ class BlockSpectra:
         return int(self.counts_below(np.array([energy]), inclusive)[0])
 
     def count_in_closed(self, lo: float, hi: float) -> int:
-        """Eigenvalues in the closed interval [lo, hi]."""
+        """Eigenvalues in the closed interval [lo, hi], widened by tau on both sides."""
         return self.count_below(hi, inclusive=True) - self.count_below(lo, inclusive=False)
 
     @property
@@ -607,7 +550,8 @@ def luck_bound(matrix, energy: int, eps: float):
     big_k = max(1.0, float(inf_norm))
     bound = (-math.log(c_const) + n * math.log(big_k)) / math.log(1.0 / eps)
     eigs = np.linalg.eigvalsh(np.array(rows, dtype=np.float64)) if n else np.zeros(0)
-    lhs = _count_from_eigs(eigs, energy + eps, True) - _count_from_eigs(eigs, energy, True)
+    upper, lower = _counts_from_eigs(eigs, np.array([energy + eps, energy]), True)
+    lhs = int(upper - lower)
     if lhs > bound:
         raise InternalCheckError(
             f"count increment {lhs} exceeds its theorem bound {bound:.6g}"

@@ -49,13 +49,18 @@ def _path_jump_series(p, energy, n_top=25):
 
 @pytest.fixture(scope="module")
 def d1_jump_run():
+    # each seed runs once; criteria 01 and 02 read the same (j0, j1, elapsed)
+    runs = {}
+
     def attempt(seed):
-        params = ExperimentParams(1, K1, bernoulli_distribution(0.5), 100000,
-                                  grid=np.array([0.0]), realizations=50, seed=seed)
-        t0 = time.perf_counter()
-        j0 = ids_jump(params, 0, (1e-6,))
-        j1 = ids_jump(params, 1, (1e-6,))
-        return j0, j1, time.perf_counter() - t0
+        if seed not in runs:
+            params = ExperimentParams(1, K1, bernoulli_distribution(0.5), 100000,
+                                      grid=np.array([0.0]), realizations=50, seed=seed)
+            t0 = time.perf_counter()
+            j0 = ids_jump(params, 0, (1e-6,))
+            j1 = ids_jump(params, 1, (1e-6,))
+            runs[seed] = j0, j1, time.perf_counter() - t0
+        return runs[seed]
     return attempt
 
 

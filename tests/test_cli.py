@@ -3,7 +3,9 @@
 import csv
 import json
 
+from perclab import cli
 from perclab.cli import SUBCOMMANDS, run
+from perclab.errors import InternalCheckError
 
 
 def _read(path):
@@ -44,6 +46,17 @@ def test_resource_guard_exit_4(tmp_path, capsys):
                 "--atoms", "0,1,2,3", "--out", str(tmp_path)])
     assert code == 4
     assert capsys.readouterr().err.startswith("error: resource-guard:")
+
+
+def test_internal_check_exit_5(tmp_path, capsys, monkeypatch):
+    def breakdown(args, started):
+        raise InternalCheckError("factorization breakdown on a block of dimension 9000")
+
+    monkeypatch.setitem(cli._HANDLERS, "catalog", breakdown)
+    code = run(["catalog", "--dim", "1", "--maxsize", "2", "--out", str(tmp_path)])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal-check:") and err.count("\n") == 1
 
 
 def test_ids_run_writes_csv_and_manifest(tmp_path):

@@ -10,6 +10,7 @@ from perclab import (Configuration, LatticeRegion, adjacency_kernel,
                      enumerate_connected_subgraphs, finite_cluster_fraction,
                      label_clusters, sample_configuration)
 from perclab.errors import PreconditionError, ResourceGuardError
+from perclab.model import validate_kernel
 from perclab.percolation import boundary_cluster_fraction
 
 
@@ -148,6 +149,55 @@ def test_fraction_monotone_in_n():
         lab = label_clusters(sample_configuration(d, reg, 31, i), k)
         fr = [finite_cluster_fraction(lab, n) for n in range(1, 12)]
         assert all(a >= b for a, b in zip(fr, fr[1:]))
+
+
+def _bfs_labeling(config, kernel):
+    """Oracle: breadth-first search from each unlabelled active site in index
+    order, so every cluster is found first at its smallest member index."""
+    region = config.region
+    index = region.site_index()
+    sites = [tuple(s) for s in region.sites.tolist()]
+    active = config.active.tolist()
+    moves = [v for v, _ in kernel.offsets if any(v)]
+    labels = [-1] * len(sites)
+    ids, sizes, touches = [], [], []
+    for start in range(len(sites)):
+        if not active[start] or labels[start] >= 0:
+            continue
+        labels[start] = start
+        members = [start]
+        for i in members:  # the list grows while it is read: breadth-first
+            for v in moves:
+                j = index.get(tuple(a + b for a, b in zip(sites[i], v)))
+                if j is not None and active[j] and labels[j] < 0:
+                    labels[j] = start
+                    members.append(j)
+        ids.append(start)
+        sizes.append(len(members))
+        touches.append(any(1 <= region.shell[i] <= kernel.hop_range for i in members))
+    return labels, ids, sizes, touches
+
+
+RANGE2_KERNEL = validate_kernel({(1, 0): 1, (-1, 0): 1, (0, 2): 1, (0, -2): 1,
+                                 (1, 1): 1, (-1, -1): 1})
+
+
+@pytest.mark.parametrize("kernel, halfwidth, p", [
+    (adjacency_kernel(1), 60, 0.7),
+    (adjacency_kernel(2), 10, 0.55),
+    (adjacency_kernel(3), 4, 0.3),
+    (RANGE2_KERNEL, 8, 0.35),
+])
+def test_label_clusters_matches_bfs_oracle(kernel, halfwidth, p):
+    reg = LatticeRegion.box(kernel.dim, halfwidth, kernel.hop_range)
+    for i in range(4):
+        c = sample_configuration(bernoulli_distribution(p), reg, 17, i)
+        lab = label_clusters(c, kernel)
+        labels, ids, sizes, touches = _bfs_labeling(c, kernel)
+        assert lab.labels.tolist() == labels
+        assert lab.cluster_ids.tolist() == ids
+        assert lab.cluster_sizes.tolist() == sizes
+        assert lab.touches_outer.tolist() == touches
 
 
 # ---------------------------------------------------------------------------

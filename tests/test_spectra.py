@@ -1,10 +1,13 @@
 """Spectral kernels: counting, exact arithmetic, catalogs, mirror states."""
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perclab import (AlgebraicNumber, Configuration, LatticeRegion,
                      adjacency_kernel, algebraic_constant, assemble,
@@ -13,7 +16,7 @@ from perclab import (AlgebraicNumber, Configuration, LatticeRegion,
                      enumerate_connected_subgraphs, kernel_dim_exact,
                      luck_bound, mirror_embed, sample_configuration)
 from perclab.errors import PreconditionError, ResourceGuardError
-from perclab.spectra import BlockSpectra
+from perclab.spectra import CLUSTER_TOL, DENSE_BLOCK_MAX, BlockSpectra
 
 INF = float("inf")
 
@@ -83,6 +86,8 @@ def test_count_below_at_exact_eigenvalue_uses_fallback():
 
 
 def test_block_spectra_agrees_with_count_below():
+    # both routes against the dense snap oracle #{lambda < E - tau}; count_below
+    # delegates to BlockSpectra, so comparing them with each other shows nothing
     k = adjacency_kernel(2)
     d = bernoulli_distribution(0.55)
     reg = LatticeRegion.box(2, 8, 2)
@@ -90,10 +95,75 @@ def test_block_spectra_agrees_with_count_below():
     m = assemble(c, k)
     engine = BlockSpectra(m)
     grid = np.linspace(-4, 4, 17)
+    w = np.sort(np.linalg.eigvalsh(m.to_dense()))
+    expect = np.searchsorted(w, grid - CLUSTER_TOL, side="left").tolist()
     got = engine.counts_below(grid)
-    expect = [count_below(m, float(e)) for e in grid]
     assert got.tolist() == expect
+    assert [count_below(m, float(e)) for e in grid] == expect
     assert np.all(np.diff(got) >= 0)
+
+
+# One counting semantics on every route: N(E) = #{lambda < E - tau} and
+# N<=(E) = #{lambda <= E + tau}, tau = CLUSTER_TOL, probed within and just
+# outside tau of an eigenvalue.  The cases sit on both sides of DENSE_BLOCK_MAX:
+# dense spectra below it, Sturm (chains) and sparse LU (boxes) above it.
+
+SNAP_OFFSETS = np.array([-2.0, -0.5, 0.0, 0.5, 2.0]) * CLUSTER_TOL
+
+
+def _free_box(dim, halfwidth):
+    reg = LatticeRegion.box(dim, halfwidth, 1)
+    vals = np.full(len(reg), INF)
+    vals[reg.core_indices] = 0.0
+    line = 2 * np.cos(np.arange(1, 2 * halfwidth + 2) * np.pi / (2 * halfwidth + 2))
+    w = line if dim == 1 else np.add.outer(line, line).ravel()
+    return assemble(Configuration(reg, vals), adjacency_kernel(dim)), np.sort(w)
+
+
+def _percolation_box():
+    c = sample_configuration(bernoulli_distribution(0.75), LatticeRegion.box(2, 30, 1), 0, 0)
+    m = assemble(c, adjacency_kernel(2))
+    w = np.concatenate([np.linalg.eigvalsh(m.submatrix(b).to_dense()) for b in m.blocks()])
+    return m, np.sort(w)
+
+
+COUNT_CASES = {  # name -> (builder, largest block beyond DENSE_BLOCK_MAX)
+    "chain_1001": (lambda: _free_box(1, 500), False),
+    "chain_3001": (lambda: _free_box(1, 1500), True),
+    "box_31x31": (lambda: _free_box(2, 15), False),
+    "box_47x47": (lambda: _free_box(2, 23), True),
+    "percolation_p075_L30": (_percolation_box, True),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _count_case(name):
+    build, large = COUNT_CASES[name]
+    m, w = build()
+    assert (max(len(b) for b in m.blocks()) > DENSE_BLOCK_MAX) == large
+    return m, w, BlockSpectra(m)
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CASES))
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_counting_route_returns_the_dense_snap_count(name, data):
+    m, w, engine = _count_case(name)
+    k = data.draw(st.integers(0, len(w) - 1), label="k")
+    energies = w[k] + SNAP_OFFSETS
+    strict = np.searchsorted(w, energies - CLUSTER_TOL, side="left")
+    inclusive = np.searchsorted(w, energies + CLUSTER_TOL, side="right")
+
+    assert engine.counts_below(energies).tolist() == strict.tolist()
+    assert engine.counts_below(energies, inclusive=True).tolist() == inclusive.tolist()
+    for e, lo, hi in zip(energies, strict, inclusive):
+        assert engine.count_in_closed(e, e) == hi - lo
+    assert engine.count_in_closed(energies[0], energies[-1]) == inclusive[-1] - strict[0]
+
+    # count_below builds a fresh engine, so it factorizes from scratch
+    j = data.draw(st.integers(0, len(SNAP_OFFSETS) - 1), label="offset")
+    assert count_below(m, energies[j]) == strict[j]
+    assert count_below(m, energies[j], inclusive=True) == inclusive[j]
 
 
 def test_eigs_dense_path3_and_scalar():
