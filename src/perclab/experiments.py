@@ -10,6 +10,7 @@ density rather than at 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -48,8 +49,6 @@ class Defaults:
 
 DEFAULTS = Defaults()
 
-_REGION_CACHE: dict = {}
-
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
@@ -83,13 +82,7 @@ class ExperimentParams:
 
     def region(self, halfwidth: Optional[int] = None) -> LatticeRegion:
         L = self.halfwidth if halfwidth is None else halfwidth
-        collar = 2 * self.kernel.hop_range
-        key = (self.dim, L, collar)
-        reg = _REGION_CACHE.get(key)
-        if reg is None:
-            reg = LatticeRegion.box(self.dim, L, collar)
-            _REGION_CACHE[key] = reg
-        return reg
+        return _box_region(self.dim, L, 2 * self.kernel.hop_range)
 
     def describe(self) -> dict:
         return {
@@ -102,6 +95,11 @@ class ExperimentParams:
             "seed": self.seed,
             "restriction": self.restriction,
         }
+
+
+@functools.lru_cache
+def _box_region(dim: int, L: int, collar: int) -> LatticeRegion:
+    return LatticeRegion.box(dim, L, collar)
 
 
 def _map_realizations(fn, m: int, workers: int):

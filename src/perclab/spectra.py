@@ -9,10 +9,15 @@ fall back to dense diagonalization whenever a pivot lands within tolerance
 of zero.  Exact integer routines (fraction-free rank, characteristic
 polynomials) serve jump multiplicities and the log-Holder machinery, where
 floating point is not good enough.
+
+A realization has many cluster blocks but few distinct ones, so BlockSpectra
+groups identical blocks and solves one representative per class, weighting
+it by the class size.  No block result is cached across calls or realizations.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,15 +38,10 @@ from .percolation import SubgraphCatalog
 PIVOT_RTOL = 1e-12        # relative pivot tolerance before aborting to dense
 CLUSTER_TOL = 1e-9        # eigenvalue clustering snap: tau in N(E) and N<=(E)
 VECTOR_RESIDUAL_RTOL = 1e-10
-DENSE_BLOCK_MAX = 2048    # counting engine: eager full spectra up to this size
+DENSE_BLOCK_MAX = 2048    # counting engine: full spectra up to this size
 CHARPOLY_GUARD = 64
 EXACT_DIM_GUARD = 4096
 ASSIGNMENT_GUARD = 10 ** 6
-CACHE_SITE_MAX = 64
-_CACHE_CAP = 200_000
-
-_EIG_CACHE: dict = {}
-_KDIM_CACHE: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +160,9 @@ def count_below(matrix: SymmetricOperatorMatrix, energy: float, inclusive: bool 
 # per-configuration counting engine
 
 # The experiments sweep many energies over the same realization, so the
-# engine diagonalizes small blocks once (with a cross-realization cache for
-# integer-potential blocks, which repeat massively) and keeps factorization
-# counting only for blocks too large to diagonalize eagerly.
+# engine diagonalizes each class of identical small blocks once per
+# realization, and keeps factorization counting only for blocks too large to
+# diagonalize.
 
 
 class _LargeBlock:
@@ -203,24 +203,24 @@ class _LargeBlock:
 
 
 class BlockSpectra:
-    """Counting service for one assembled matrix, organized by cluster block."""
+    """Counting service for one assembled matrix, organized by cluster block.
 
-    def __init__(self, matrix: SymmetricOperatorMatrix, eager_spectra: bool = True):
-        """eager_spectra=False builds only the block decomposition (for the
-        exact-arithmetic paths); counting methods then must not be used."""
+    Blocks of identical content (the same sites relative to their first site,
+    the same diagonal and the same edges) form one class, which is solved once
+    and weighted by its multiplicity.
+    """
+
+    def __init__(self, matrix: SymmetricOperatorMatrix):
         self.matrix = matrix
         self.box_size = matrix.box_size
         blocks = matrix.blocks()
         n = matrix.dim
         self.block_rows = blocks
         self.large = []
-        self._keys: dict = {}
+        self._classes = []
 
         if n == 0:
-            self._nblocks = 0
-            self.small_eigs = np.zeros(0)
             return
-        self._nblocks = len(blocks)
 
         # regroup rows and edges contiguously by block; per-block data are
         # then plain slices, which is what makes 10^5-block sweeps cheap
@@ -243,37 +243,46 @@ class BlockSpectra:
             self._ej_g = loc_of[matrix.off_j[eorder]]
             self._ev_g = matrix.off_v[eorder]
             ecount = np.bincount(eb, minlength=len(blocks))
-            ebounds = np.cumsum(ecount)
-            self._edge_starts = ebounds - ecount
-            self._edge_ends = ebounds
         else:
             self._ei_g = self._ej_g = np.zeros(0, dtype=np.int64)
             self._ev_g = np.zeros(0)
-            self._edge_starts = np.zeros(len(blocks), dtype=np.int64)
-            self._edge_ends = self._edge_starts
+            ecount = np.zeros(len(blocks), dtype=np.int64)
+        ebounds = np.cumsum(ecount)
+        self._edge_starts = ebounds - ecount
+        self._edge_ends = ebounds
 
-        if not eager_spectra:
-            self.small_eigs = np.zeros(0)
-            return
-        cacheable = matrix.exact
-        parts = []
-        pending = {}  # size -> list of block indices to diagonalize in a batch
-        lens_list = lens.tolist()
-        for b in range(len(blocks)):
-            nb = lens_list[b]
-            if nb > DENSE_BLOCK_MAX:
-                self.large.append(_LargeBlock(matrix.submatrix(blocks[b]), blocks[b]))
-                continue
-            if cacheable and nb <= CACHE_SITE_MAX:
-                key = self._key(b)
-                hit = _EIG_CACHE.get(key)
-                if hit is not None:
-                    parts.append(hit)
-                    continue
-            pending.setdefault(nb, []).append(b)
-        for size, members in pending.items():
-            parts.extend(self._diagonalize_batch(size, members))
-        self.small_eigs = np.sort(np.concatenate(parts)) if parts else np.zeros(0)
+        for b in np.flatnonzero(lens > DENSE_BLOCK_MAX):
+            self.large.append(_LargeBlock(matrix.submatrix(blocks[b]), blocks[b]))
+        self._classes = self._group(lens, ecount)
+
+    def _group(self, lens, ecount):
+        """Classes of identical blocks: (size, representatives, multiplicities).
+
+        Blocks are bucketed by (size, edge count).  Within a bucket every block
+        is one fixed-width int64 record (relative sites, diagonal, local edge
+        ends, edge values; floats by bit pattern), so np.unique over the
+        records is exact and distinct blocks never merge.
+        """
+        order = np.lexsort((ecount, lens))
+        breaks = np.flatnonzero(np.diff(lens[order]) | np.diff(ecount[order])) + 1
+        classes = []
+        for members in np.split(order, breaks):
+            size, m = int(lens[members[0]]), int(ecount[members[0]])
+            mult = np.ones(1, dtype=np.int64)
+            if len(members) > 1:
+                rows = self._row_starts[members, None] + np.arange(size)
+                edges = self._edge_starts[members, None] + np.arange(m)
+                sites = self._sites_g[rows]
+                records = np.concatenate([
+                    (sites - sites[:, :1]).reshape(len(members), -1),
+                    self._diag_g[rows].view(np.int64),
+                    self._ei_g[edges], self._ej_g[edges],
+                    self._ev_g[edges].view(np.int64)], axis=1)
+                _, first, mult = np.unique(records, axis=0, return_index=True,
+                                           return_counts=True)
+                members = members[first]
+            classes.append((size, members, mult))
+        return classes
 
     def _parts(self, b):
         r0, r1 = self._row_starts[b], self._row_ends[b]
@@ -281,36 +290,25 @@ class BlockSpectra:
         return (self._diag_g[r0:r1], self._sites_g[r0:r1],
                 self._ei_g[e0:e1], self._ej_g[e0:e1], self._ev_g[e0:e1])
 
-    def _key(self, b):
-        key = self._keys.get(b)
-        if key is None:
-            diag, sites, ei, ej, ev = self._parts(b)
-            rel = sites - sites[0]
-            key = (rel.tobytes(), diag.tobytes(), ei.tobytes(), ej.tobytes(), ev.tobytes())
-            self._keys[b] = key
-        return key
-
     def _diagonalize_batch(self, size, members):
         m = len(members)
         if size == 1:
-            ws = self._diag_g[self._row_starts[members]].reshape(m, 1)
-        else:
-            dense = np.zeros((m, size, size))
-            rng = np.arange(size)
-            for x, b in enumerate(members):
-                diag, _, ei, ej, ev = self._parts(b)
-                dense[x, rng, rng] = diag
-                dense[x, ei, ej] = ev
-                dense[x, ej, ei] = ev
-            ws = np.linalg.eigh(dense)[0]
-        out = []
-        cacheable = self.matrix.exact
+            return self._diag_g[self._row_starts[members]].reshape(m, 1)
+        dense = np.zeros((m, size, size))
+        rng = np.arange(size)
         for x, b in enumerate(members):
-            w = ws[x]
-            if cacheable and size <= CACHE_SITE_MAX and len(_EIG_CACHE) < _CACHE_CAP:
-                _EIG_CACHE[self._key(b)] = w
-            out.append(w)
-        return out
+            diag, _, ei, ej, ev = self._parts(b)
+            dense[x, rng, rng] = diag
+            dense[x, ei, ej] = ev
+            dense[x, ej, ei] = ev
+        return np.linalg.eigvalsh(dense)
+
+    @functools.cached_property
+    def small_eigs(self) -> np.ndarray:
+        """Ascending eigenvalues, with multiplicity, of every block up to DENSE_BLOCK_MAX."""
+        parts = [np.repeat(self._diagonalize_batch(size, reps), mult, axis=0).ravel()
+                 for size, reps, mult in self._classes if size <= DENSE_BLOCK_MAX]
+        return np.sort(np.concatenate(parts)) if parts else np.zeros(0)
 
     # -- counting -----------------------------------------------------------
 
@@ -339,20 +337,9 @@ class BlockSpectra:
         r, s = _as_rational(energy)
         if not self.matrix.exact:
             raise TypeError("exact kernel dimension requires an exact-integer matrix")
-        total = 0
-        for b in range(self._nblocks):
-            nb = int(self._row_ends[b] - self._row_starts[b])
-            key = (self._key(b), r, s) if nb <= CACHE_SITE_MAX else None
-            if key is not None:
-                hit = _KDIM_CACHE.get(key)
-                if hit is not None:
-                    total += hit
-                    continue
-            out = _kernel_dim_from_parts(*self._parts(b), r, s)
-            if key is not None and len(_KDIM_CACHE) < _CACHE_CAP:
-                _KDIM_CACHE[key] = out
-            total += out
-        return total
+        return sum(k * _kernel_dim_from_parts(*self._parts(b), r, s)
+                   for _, reps, mult in self._classes
+                   for b, k in zip(reps.tolist(), mult.tolist()))
 
     # -- spectra with vectors (projector estimator) --------------------------
 
@@ -462,16 +449,13 @@ def kernel_dim_exact(matrix, energy) -> int:
     if isinstance(matrix, SymmetricOperatorMatrix):
         if not matrix.exact:
             raise TypeError("kernel_dim_exact requires an exact-integer matrix")
-        return BlockSpectra(matrix, eager_spectra=False).kernel_dim(Fraction(r, s))
+        return BlockSpectra(matrix).kernel_dim(Fraction(r, s))
     rows = _dense_int_rows(matrix)
     n = len(rows)
     if n > EXACT_DIM_GUARD:
         raise ResourceGuardError(f"dimension {n} exceeds exact guard {EXACT_DIM_GUARD}")
     b = [[s * rows[i][j] - (r if i == j else 0) for j in range(n)] for i in range(n)]
     return n - bareiss_rank(b)
-
-
-_CHARPOLY_CACHE: dict = {}
 
 
 def charpoly_exact(matrix) -> tuple:
@@ -484,12 +468,12 @@ def charpoly_exact(matrix) -> tuple:
     n = len(rows)
     if n > CHARPOLY_GUARD:
         raise ResourceGuardError(f"dimension {n} exceeds charpoly guard {CHARPOLY_GUARD}")
-    if n == 0:
-        return (1,)
-    key = tuple(tuple(r) for r in rows)
-    hit = _CHARPOLY_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _charpoly(tuple(tuple(r) for r in rows))
+
+
+@functools.lru_cache
+def _charpoly(rows: tuple) -> tuple:
+    n = len(rows)
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     desc = []  # coefficients of t^{n-1}, ..., t^0
     for k in range(1, n + 1):
@@ -502,10 +486,7 @@ def charpoly_exact(matrix) -> tuple:
         for i in range(n):
             am[i][i] += ck
         m = am
-    out = tuple(reversed(desc)) + (1,)
-    if len(_CHARPOLY_CACHE) < _CACHE_CAP:
-        _CHARPOLY_CACHE[key] = out
-    return out
+    return tuple(reversed(desc)) + (1,)
 
 
 def _shift_poly(coeffs, shift: int) -> tuple:

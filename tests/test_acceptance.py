@@ -238,7 +238,7 @@ def test_criterion_11_jumps_match_catalog():
         dims = []
         for i in range(10):
             config = sample_configuration(params.dist, region, params.seed, i)
-            engine = BlockSpectra(assemble(config, K2), eager_spectra=False)
+            engine = BlockSpectra(assemble(config, K2))
             dims.append(engine.kernel_dim(e) / region.n_core)
         assert np.mean(dims) == pytest.approx(detected[e], abs=0.01)
     _pass(11, "detected jumps " +

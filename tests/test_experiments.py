@@ -86,6 +86,15 @@ def test_workers_bit_identical():
     b = estimate_ids(p2)
     assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stderr, b.stderr)
 
+    # the d=1 exact jump: numeric and exact columns
+    p1 = bernoulli_params(1, 0.5, 2000, grid=np.array([0.0]), m=8, seed=3)
+    a = ids_jump(p1, 0, (1e-6,))
+    p1.workers = 4
+    b = ids_jump(p1, 0, (1e-6,))
+    assert np.array_equal(a.jumps, b.jumps) and np.array_equal(a.jump_stderrs, b.jump_stderrs)
+    assert a.exact_jump is not None
+    assert (a.exact_jump, a.exact_stderr) == (b.exact_jump, b.exact_stderr)
+
 
 # ---------------------------------------------------------------------------
 # jumps

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perclab import (AlgebraicNumber, Configuration, LatticeRegion,
-                     adjacency_kernel, algebraic_constant, assemble,
-                     bernoulli_distribution, charpoly_exact,
-                     cluster_spectrum_catalog, count_below, eigs_dense,
-                     enumerate_connected_subgraphs, kernel_dim_exact,
-                     luck_bound, mirror_embed, sample_configuration)
+                     PotentialDistribution, adjacency_kernel,
+                     algebraic_constant, assemble, bernoulli_distribution,
+                     charpoly_exact, cluster_spectrum_catalog, count_below,
+                     eigs_dense, enumerate_connected_subgraphs,
+                     kernel_dim_exact, luck_bound, mirror_embed,
+                     sample_configuration, validate_kernel)
 from perclab.errors import PreconditionError, ResourceGuardError
-from perclab.spectra import CLUSTER_TOL, DENSE_BLOCK_MAX, BlockSpectra
+from perclab.spectra import CLUSTER_TOL, DENSE_BLOCK_MAX, BlockSpectra, bareiss_rank
 
 INF = float("inf")
 
@@ -164,6 +165,85 @@ def test_every_counting_route_returns_the_dense_snap_count(name, data):
     j = data.draw(st.integers(0, len(SNAP_OFFSETS) - 1), label="offset")
     assert count_below(m, energies[j]) == strict[j]
     assert count_below(m, energies[j], inclusive=True) == inclusive[j]
+
+
+# Identical blocks are grouped into classes and solved once.  Every count and
+# kernel dimension must still equal the sum of per-block oracles, on a law
+# with many repeated blocks (two atoms), one with none (a continuous law) and
+# a kernel whose mirror-image clusters differ in their edge values.
+
+GROUPING_CASES = {  # name -> (law, kernel, halfwidth)
+    "two_atoms": (PotentialDistribution(atoms=((0.0, 0.25), (1.0, 0.25)), inactive_weight=0.5),
+                  adjacency_kernel(2), 8),
+    "continuous": (PotentialDistribution(pieces=((-1.0, 1.0, 0.5),), inactive_weight=0.5),
+                   adjacency_kernel(2), 8),
+    "anisotropic": (bernoulli_distribution(0.35),
+                    validate_kernel({(1, 0): 1, (-1, 0): 1, (0, 1): 2, (0, -1): 2,
+                                     (1, 1): -1, (-1, -1): -1}), 6),
+}
+
+
+def _class_sizes(engine):
+    return sorted(k for _, _, mult in engine._classes for k in mult.tolist())
+
+
+@pytest.mark.parametrize("name", sorted(GROUPING_CASES))
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_class_grouping_matches_per_block_oracles(name, seed):
+    law, kernel, halfwidth = GROUPING_CASES[name]
+    region = LatticeRegion.box(2, halfwidth, kernel.hop_range)
+    m = assemble(sample_configuration(law, region, seed, 0), kernel)
+    engine = BlockSpectra(m)
+    subs = [m.submatrix(b) for b in m.blocks()]
+    assert sum(_class_sizes(engine)) == len(subs)
+
+    # every eigenvalue lambda_k, probed at lambda_k + {-2 tau, 0, 2 tau}
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(sub.to_dense()) for sub in subs]))
+    energies = (w[:, None] + np.array([-2.0, 0.0, 2.0]) * CLUSTER_TOL).ravel()
+    strict = np.searchsorted(w, energies - CLUSTER_TOL, side="left")
+    inclusive = np.searchsorted(w, energies + CLUSTER_TOL, side="right")
+    assert engine.counts_below(energies).tolist() == strict.tolist()
+    assert engine.counts_below(energies, inclusive=True).tolist() == inclusive.tolist()
+
+    if not m.exact:
+        return
+    for e in map(Fraction, (-2, -1, 0, 1, 2, 3, Fraction(1, 2))):
+        expect = 0
+        for sub in subs:
+            shifted = [[e.denominator * x - (e.numerator if i == j else 0)
+                        for j, x in enumerate(row)] for i, row in enumerate(sub.to_dense_int())]
+            expect += sub.dim - bareiss_rank(shifted)
+        assert engine.kernel_dim(e) == expect
+
+
+def test_blocks_differing_in_one_diagonal_entry_are_different_classes():
+    # four dimers; the third differs from the others in one diagonal entry only
+    m = _matrix({(-5,): 0.0, (-4,): 0.0, (-2,): 0.0, (-1,): 0.0,
+                 (1,): 0.0, (2,): 1e-12, (4,): 0.0, (5,): 0.0}, 5)
+    engine = BlockSpectra(m)
+    assert _class_sizes(engine) == [1, 3]
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(m.submatrix(b).to_dense())
+                                for b in m.blocks()]))
+    assert np.allclose(engine.small_eigs, w, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_empty_and_single_site_boxes(dim):
+    grid = np.array([0.0, 1.0, 2.0])
+    closed = _matrix({}, 3, dim=dim)
+    engine = BlockSpectra(closed)
+    assert engine.counts_below(grid).tolist() == [0, 0, 0]
+    assert engine.counts_below(grid, inclusive=True).tolist() == [0, 0, 0]
+    assert engine.kernel_dim(0) == 0
+    assert kernel_dim_exact(closed, 0) == 0
+
+    single = _matrix({(0,) * dim: 1.0}, 0, dim=dim)
+    engine = BlockSpectra(single)
+    assert engine.counts_below(grid).tolist() == [0, 0, 1]
+    assert engine.counts_below(grid, inclusive=True).tolist() == [0, 1, 1]
+    assert engine.kernel_dim(0) == 0 and engine.kernel_dim(1) == 1
+    assert kernel_dim_exact(single, 1) == 1
 
 
 def test_eigs_dense_path3_and_scalar():
