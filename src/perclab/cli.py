@@ -40,24 +40,41 @@ SUBCOMMANDS = ("ids", "jumps", "gn", "wegner", "loghoelder", "continuity",
                "convergence", "catalog", "mirror")
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    try:
-        lo, hi, steps = text.split(":")
-        return np.linspace(float(lo), float(hi), int(steps))
-    except ValueError:
-        raise PreconditionError(f"grid must be lo:hi:steps, got {text!r}") from None
+# argparse types: each raises ValueError on a malformed value, which the parser
+# reports as one usage line ("argument --grid: invalid grid value: ...")
 
 
-def _parse_interval(text: str):
-    try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError:
-        raise PreconditionError(f"interval must be lo:hi, got {text!r}") from None
+def grid(text: str) -> np.ndarray:
+    lo, hi, steps = text.split(":")
+    return np.linspace(float(lo), float(hi), int(steps))
 
 
-def _parse_floats(text: str):
+def interval(text: str) -> tuple:
+    lo, hi = text.split(":")
+    return float(lo), float(hi)
+
+
+def floats(text: str) -> tuple:
     return tuple(float(x) for x in text.split(",") if x)
+
+
+def integers(text: str) -> tuple:
+    return tuple(int(x) for x in text.split(",") if x)
+
+
+def rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
+def _json_arg(text: str):
+    """JSON text, or the path of a file holding it."""
+    if not text.lstrip().startswith("{"):
+        with open(text, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return json.loads(text)
 
 
 def _load_dist(args) -> PotentialDistribution:
@@ -65,35 +82,19 @@ def _load_dist(args) -> PotentialDistribution:
         return bernoulli_distribution(args.p)
     if args.dist is None:
         raise PreconditionError("need --p or --dist")
-    text = args.dist
-    if not text.lstrip().startswith("{"):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return PotentialDistribution.from_json(text)
+    return PotentialDistribution.from_json_dict(_json_arg(args.dist))
 
 
 def _load_kernel(args) -> HoppingKernel:
-    text = args.kernel
-    if text == "adjacency":
+    if args.kernel == "adjacency":
         return adjacency_kernel(args.dim)
-    if not text.lstrip().startswith("{"):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return HoppingKernel.from_json_dict(json.loads(text))
+    return HoppingKernel.from_json_dict(_json_arg(args.kernel))
 
 
-def _params(args, halfwidth=None, grid=None, restriction=None) -> ExperimentParams:
-    return ExperimentParams(
-        dim=args.dim,
-        kernel=_load_kernel(args),
-        dist=_load_dist(args),
-        halfwidth=args.L[0] if halfwidth is None else halfwidth,
-        grid=grid if grid is not None else _parse_grid(args.grid),
-        realizations=args.realizations,
-        seed=args.seed,
-        restriction=restriction or args.restriction,
-        workers=args.workers,
-    )
+def _params(args) -> ExperimentParams:
+    return ExperimentParams(args.dim, _load_kernel(args), _load_dist(args), args.L[0],
+                            grid=args.grid, realizations=args.realizations, seed=args.seed,
+                            restriction=args.restriction, workers=args.workers)
 
 
 def _write_rows(path: str, rows, fmt: str):
@@ -140,29 +141,38 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+class _OneLineParser(argparse.ArgumentParser):
+    def error(self, message):
+        """Report a usage error as the one line 'error: usage: ...' and exit 2."""
+        self.exit(2, f"error: usage: {self.prog}: {' '.join(message.split())}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _OneLineParser(
         prog="perclab",
         description="Percolation-Hamiltonian spectral laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid_default="-4.5:4.5:61"):
+    def base(p):
         p.add_argument("--dim", type=int, default=2)
+        p.add_argument("--kernel", type=str, default="adjacency")
+        p.add_argument("--seed", type=int, default=DEFAULTS.seed)
+        p.add_argument("--out", type=str, default=".")
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+
+    def common(p):
+        base(p)
         p.add_argument("--L", type=int, action="append", required=True,
                        help="box halfwidth (repeatable where a study needs several)")
         p.add_argument("--p", type=float, default=None,
                        help="Bernoulli shorthand: atom 0 with weight p, rest closed")
         p.add_argument("--dist", type=str, default=None,
                        help="potential law as JSON text or a path to a JSON file")
-        p.add_argument("--kernel", type=str, default="adjacency")
-        p.add_argument("--grid", type=str, default=grid_default)
+        p.add_argument("--grid", type=grid, default="-4.5:4.5:61")
         p.add_argument("--realizations", type=int, default=DEFAULTS.realizations)
-        p.add_argument("--seed", type=int, default=DEFAULTS.seed)
         p.add_argument("--restriction", choices=["box", "con"], default="box")
         p.add_argument("--workers", type=int, default=DEFAULTS.workers)
-        p.add_argument("--out", type=str, default=".")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("ids", help="integrated density of states on a grid")
     common(p)
@@ -171,8 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jumps", help="jump densities at chosen energies")
     common(p)
-    p.add_argument("--E", type=Fraction, action="append", required=True)
-    p.add_argument("--windows", type=str, default=None,
+    p.add_argument("--E", type=rational, action="append", required=True)
+    p.add_argument("--windows", type=floats, default=None,
                    help="comma list; default derives the finest window from the catalog gap")
     p.add_argument("--catalog-maxsize", type=int, default=DEFAULTS.catalog_max_size,
                    help="0 disables catalog matching")
@@ -185,43 +195,40 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--interval", type=str, action="append", required=True,
+    p.add_argument("--interval", type=interval, action="append", required=True,
                    help="lo:hi, repeatable")
 
     p = sub.add_parser("loghoelder", help="right log-Holder bound at an algebraic energy")
     common(p)
-    p.add_argument("--E", type=Fraction, default=None, help="rational energy")
-    p.add_argument("--minpoly", type=str, default=None,
+    p.add_argument("--E", type=rational, default=None, help="rational energy")
+    p.add_argument("--minpoly", type=integers, default=None,
                    help="integer coefficients c0,c1,... of a monic polynomial")
     p.add_argument("--denom", type=int, default=1)
     p.add_argument("--approx", type=float, default=None)
-    p.add_argument("--eps", type=str, default="1e-2,1e-4,1e-8")
+    p.add_argument("--eps", type=floats, default="1e-2,1e-4,1e-8")
 
     p = sub.add_parser("continuity", help="shrinking-window probe for atomless laws")
     common(p)
-    p.add_argument("--E", type=Fraction, action="append", required=True)
-    p.add_argument("--windows", type=str, default="1e-1,1e-2,1e-3")
+    p.add_argument("--E", type=rational, action="append", required=True)
+    p.add_argument("--windows", type=floats, default="1e-1,1e-2,1e-3")
 
     p = sub.add_parser("convergence", help="volume convergence and box-vs-con study")
     common(p)
 
     p = sub.add_parser("catalog", help="finite-cluster spectrum catalog")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--kernel", type=str, default="adjacency")
+    base(p)
     p.add_argument("--maxsize", type=int, default=DEFAULTS.catalog_max_size)
-    p.add_argument("--atoms", type=str, default="0")
-    p.add_argument("--out", type=str, default=".")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--seed", type=int, default=DEFAULTS.seed)
+    p.add_argument("--atoms", type=floats, default="0")
 
     p = sub.add_parser("mirror", help="mirror-charge embeddings for catalog states")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--kernel", type=str, default="adjacency")
+    base(p)
     p.add_argument("--maxsize", type=int, default=4)
-    p.add_argument("--out", type=str, default=".")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--seed", type=int, default=DEFAULTS.seed)
     return parser
+
+
+def _concat_rows(reports):
+    """One table from reports sharing a header: the header once, then each body."""
+    return reports[0].to_csv_rows()[:1] + [r for rep in reports for r in rep.to_csv_rows()[1:]]
 
 
 def _cmd_ids(args, started):
@@ -238,16 +245,12 @@ def _cmd_jumps(args, started):
         shapes = enumerate_connected_subgraphs(params.kernel, args.catalog_maxsize)
         catalog = cluster_spectrum_catalog(shapes, atom_values)
     if args.windows is not None:
-        windows = _parse_floats(args.windows)
+        windows = args.windows
     elif catalog is not None:
         windows = (jump_window_for_catalog(catalog),)
     else:
         windows = DEFAULTS.windows
-    rows = None
-    for e in args.E:
-        est = ids_jump(params, e, windows, catalog)
-        part = est.to_csv_rows()
-        rows = part if rows is None else rows + part[1:]
+    rows = _concat_rows(ids_jump(params, args.E, windows, catalog))
     return _finish(args, "jumps", rows, started, params.describe())
 
 
@@ -259,11 +262,7 @@ def _cmd_gn(args, started):
 
 def _cmd_wegner(args, started):
     params = _params(args)
-    rows = None
-    for text in args.interval:
-        rep = wegner_experiment(params, _parse_interval(text), args.a, args.b)
-        part = rep.to_csv_rows()
-        rows = part if rows is None else rows + part[1:]
+    rows = _concat_rows(wegner_experiment(params, args.interval, args.a, args.b))
     extra = dict(params.describe(), a=args.a, b=args.b)
     return _finish(args, "wegner", rows, started, extra)
 
@@ -271,13 +270,12 @@ def _cmd_wegner(args, started):
 def _cmd_loghoelder(args, started):
     params = _params(args)
     if args.minpoly is not None:
-        coeffs = tuple(int(x) for x in args.minpoly.split(","))
-        energy = AlgebraicNumber(coeffs, args.denom, args.approx)
+        energy = AlgebraicNumber(args.minpoly, args.denom, args.approx)
     elif args.E is not None:
         energy = AlgebraicNumber.from_rational(args.E)
     else:
         raise PreconditionError("loghoelder needs --E or --minpoly")
-    rep = log_hoelder_check(params, energy, _parse_floats(args.eps))
+    rep = log_hoelder_check(params, energy, args.eps)
     if rep.violations:
         raise HypothesisViolationError(
             f"{rep.violations} realizations violated the bound (should be impossible)")
@@ -286,25 +284,23 @@ def _cmd_loghoelder(args, started):
 
 def _cmd_continuity(args, started):
     params = _params(args)
-    rep = continuity_probe(params, [float(e) for e in args.E],
-                           _parse_floats(args.windows))
+    rep = continuity_probe(params, [float(e) for e in args.E], args.windows)
     return _finish(args, "continuity", rep.to_csv_rows(), started, params.describe())
 
 
 def _cmd_convergence(args, started):
     if len(args.L) < 2:
         raise PreconditionError("convergence needs --L given at least twice")
-    params = _params(args, halfwidth=args.L[0])
+    params = _params(args)
     rep = convergence_study(params, sorted(args.L))
     extra = dict(params.describe(), L=sorted(args.L))
     return _finish(args, "convergence", rep.to_csv_rows(), started, extra)
 
 
 def _cmd_catalog(args, started):
-    kernel = (adjacency_kernel(args.dim) if args.kernel == "adjacency"
-              else HoppingKernel.from_json_dict(json.loads(args.kernel)))
+    kernel = _load_kernel(args)
     shapes = enumerate_connected_subgraphs(kernel, args.maxsize)
-    atom_values = _parse_floats(args.atoms) or (0.0,)
+    atom_values = args.atoms or (0.0,)
     catalog = cluster_spectrum_catalog(shapes, atom_values)
     extra = {"dim": args.dim, "maxsize": args.maxsize, "atoms": list(atom_values),
              "counts_per_size": shapes.counts()}
@@ -313,8 +309,7 @@ def _cmd_catalog(args, started):
 
 
 def _cmd_mirror(args, started):
-    kernel = (adjacency_kernel(args.dim) if args.kernel == "adjacency"
-              else HoppingKernel.from_json_dict(json.loads(args.kernel)))
+    kernel = _load_kernel(args)
     shapes = enumerate_connected_subgraphs(kernel, args.maxsize)
     rows = [("energy", "witness_size", "vector", "residual", "norm_ratio")]
     for size in range(1, args.maxsize + 1):

@@ -75,14 +75,15 @@ class ExperimentParams:
             raise PreconditionError("energy grid must be strictly increasing")
         if self.realizations < 1:
             raise PreconditionError("realizations must be >= 1")
+        if self.workers < 1:
+            raise PreconditionError("workers must be >= 1")
         if self.restriction not in RESTRICTIONS:
             raise PreconditionError(f"restriction must be one of {RESTRICTIONS}")
         if self.kernel.dim != self.dim:
             raise PreconditionError("kernel dimension does not match dim")
 
-    def region(self, halfwidth: Optional[int] = None) -> LatticeRegion:
-        L = self.halfwidth if halfwidth is None else halfwidth
-        return _box_region(self.dim, L, 2 * self.kernel.hop_range)
+    def region(self) -> LatticeRegion:
+        return _box_region(self.dim, self.halfwidth, 2 * self.kernel.hop_range)
 
     def describe(self) -> dict:
         return {
@@ -103,8 +104,8 @@ def _box_region(dim: int, L: int, collar: int) -> LatticeRegion:
 
 
 def _map_realizations(fn, m: int, workers: int):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if workers > 1 and m > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, m)) as pool:
             return list(pool.map(fn, range(m)))
     return [fn(i) for i in range(m)]
 
@@ -119,17 +120,30 @@ def _mean_stderr(rows: np.ndarray):
     return mean, stderr
 
 
-def _realization(params: ExperimentParams, index: int, halfwidth: Optional[int] = None,
-                 restriction: Optional[str] = None):
-    region = params.region(halfwidth)
+def _realization(params: ExperimentParams, index: int) -> BlockSpectra:
+    region = params.region()
     config = sample_configuration(params.dist, region, params.seed, index)
-    restriction = restriction or params.restriction
-    if restriction == "box":
+    if params.restriction == "box":
         site_idx = region.core_indices
     else:
         site_idx = connected_region(config, params.kernel)
-    matrix = assemble(config, params.kernel, site_idx)
-    return config, BlockSpectra(matrix)
+    return BlockSpectra(assemble(config, params.kernel, site_idx))
+
+
+def _engine_rows(params: ExperimentParams, row) -> list:
+    """row(engine) for every realization, in realization order: one engine each."""
+    return _map_realizations(lambda i: row(_realization(params, i)),
+                             params.realizations, params.workers)
+
+
+def _window_jumps(engine: BlockSpectra, energies, windows, box_size: int) -> np.ndarray:
+    """Normalized counts in [E - w, E + w[ per (energy, window), one count call."""
+    centers = np.asarray(energies, dtype=np.float64)[:, None]
+    widths = np.asarray(windows, dtype=np.float64)[None, :]
+    c = engine.counts_below(np.concatenate([(centers + widths).ravel(),
+                                            (centers - widths).ravel()]))
+    k = len(c) // 2
+    return (c[:k] - c[k:]).reshape(len(energies), len(windows)) / box_size
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +183,7 @@ def estimate_ids(params: ExperimentParams, estimator: str = "counting") -> Empir
     box_size = region.n_core
 
     if estimator == "counting":
-        def one(i):
-            _, engine = _realization(params, i)
+        def row(engine):
             return engine.counts_below(grid) / box_size
     else:
         L = params.halfwidth
@@ -180,8 +193,7 @@ def estimate_ids(params: ExperimentParams, estimator: str = "counting") -> Empir
             raise PreconditionError("box too small for an interior layer")
         n_interior = (2 * inner + 1) ** params.dim
 
-        def one(i):
-            _, engine = _realization(params, i)
+        def row(engine):
             sites = engine.matrix.sites
             interior = np.abs(sites).max(axis=1) <= inner if len(sites) else np.zeros(0, bool)
             acc = np.zeros(len(grid))
@@ -196,7 +208,7 @@ def estimate_ids(params: ExperimentParams, estimator: str = "counting") -> Empir
                         acc[col] += cum[:, k - 1].sum()
             return acc / n_interior
 
-    samples = np.stack(_map_realizations(one, params.realizations, params.workers))
+    samples = np.stack(_engine_rows(params, row))
     mean, stderr = _mean_stderr(samples)
     return EmpiricalIDS(grid, mean, stderr, params.realizations, params.halfwidth,
                         params.restriction, box_size, estimator)
@@ -241,51 +253,47 @@ def jump_window_for_catalog(catalog: FiniteSpectrumCatalog) -> float:
     return 10.0 ** math.floor(math.log10(gap / 2.0) - 1e-12)
 
 
-def ids_jump(params: ExperimentParams, energy, windows: Sequence[float],
-             catalog: Optional[FiniteSpectrumCatalog] = None) -> JumpEstimate:
-    """Jump-density estimate at one energy via shrinking two-sided windows.
+def ids_jump(params: ExperimentParams, energies: Sequence, windows: Sequence[float],
+             catalog: Optional[FiniteSpectrumCatalog] = None) -> list:
+    """Jump-density estimates at several energies via shrinking two-sided windows.
 
-    When the assembled matrices are exact-integer and the energy is rational,
-    the eigenspace dimension is also computed exactly per realization; that
-    variant does not depend on the window at all.
+    One pass over the realizations serves every energy.  When the assembled
+    matrices are exact-integer and an energy is rational, its eigenspace
+    dimension is also computed exactly per realization; that variant does not
+    depend on the window at all.  Returns one JumpEstimate per energy.
     """
     windows = tuple(float(w) for w in windows)
-    if not windows or any(w <= 0 for w in windows):
-        raise PreconditionError("windows must be positive")
-    e_float = float(energy)
-    rational = isinstance(energy, Rational) or (
-        isinstance(energy, float) and energy.is_integer())
+    if not len(energies) or not windows or any(not w > 0 for w in windows):
+        raise PreconditionError("need energies and positive windows")
+    floats = [float(e) for e in energies]
+    rationals = [Fraction(e) if isinstance(e, Rational) or (
+        isinstance(e, float) and e.is_integer()) else None for e in energies]
     box_size = params.region().n_core
-    edges = np.array([e_float + w for w in windows] + [e_float - w for w in windows])
 
-    def one(i):
-        _, engine = _realization(params, i)
-        counts = engine.counts_below(edges)
-        k = len(windows)
-        numeric = (counts[:k] - counts[k:]) / box_size
-        exact = math.nan
-        if rational and engine.matrix.exact:
-            exact = engine.kernel_dim(Fraction(energy)) / box_size
-        return numeric, exact
+    def row(engine):
+        exact = [math.nan if q is None or not engine.matrix.exact
+                 else engine.kernel_dim(q) / box_size for q in rationals]
+        return _window_jumps(engine, floats, windows, box_size), exact
 
-    out = _map_realizations(one, params.realizations, params.workers)
-    numeric = np.stack([row for row, _ in out])
-    jumps, stderrs = _mean_stderr(numeric)
-    exacts = np.array([x for _, x in out])
-    if np.isnan(exacts).any():
-        exact_jump = exact_stderr = None
-    else:
-        em, es = _mean_stderr(exacts.reshape(-1, 1))
-        exact_jump, exact_stderr = float(em[0]), float(es[0])
-
-    catalog_energy = catalog_distance = None
-    if catalog is not None and len(catalog.entries):
-        entry, dist = catalog.nearest(e_float)
-        if dist <= 1e-6:
-            catalog_energy, catalog_distance = float(entry.energy), float(dist)
-    return JumpEstimate(e_float, windows, jumps, stderrs, exact_jump, exact_stderr,
-                        catalog_energy, catalog_distance, params.realizations,
-                        params.halfwidth)
+    out = _engine_rows(params, row)
+    estimates = []
+    for j, e_float in enumerate(floats):
+        jumps, stderrs = _mean_stderr(np.stack([numeric[j] for numeric, _ in out]))
+        exacts = np.array([[exact[j]] for _, exact in out])
+        if np.isnan(exacts).any():
+            exact_jump = exact_stderr = None
+        else:
+            em, es = _mean_stderr(exacts)
+            exact_jump, exact_stderr = float(em[0]), float(es[0])
+        catalog_energy = catalog_distance = None
+        if catalog is not None and len(catalog.entries):
+            entry, dist = catalog.nearest(e_float)
+            if dist <= 1e-6:
+                catalog_energy, catalog_distance = float(entry.energy), float(dist)
+        estimates.append(JumpEstimate(e_float, windows, jumps, stderrs, exact_jump,
+                                      exact_stderr, catalog_energy, catalog_distance,
+                                      params.realizations, params.halfwidth))
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +385,19 @@ class WegnerReport:
         ]
 
 
-def wegner_experiment(params: ExperimentParams, interval, a: float, b: float) -> WegnerReport:
-    """Expected eigenvalue count in an interval against the explicit constant.
+def wegner_experiment(params: ExperimentParams, intervals: Sequence, a: float,
+                      b: float) -> list:
+    """Expected eigenvalue count in each interval against the explicit constant.
 
     Requires the potential law to be absolutely continuous on the spectrum-
-    widened window ]a + s-, b + s+[ and the interval to sit at distance
+    widened window ]a + s-, b + s+[ and every interval to sit at distance
     delta > 0 inside ]a, b[.  The constant is evaluated exactly from the law;
-    the left side is a Monte Carlo eigenvalue count.
+    the left side is a Monte Carlo eigenvalue count.  One pass over the
+    realizations serves every interval; returns one WegnerReport each.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise PreconditionError("interval must have positive length")
+    intervals = [(float(lo), float(hi)) for lo, hi in intervals]
+    if not intervals or any(not lo < hi for lo, hi in intervals):
+        raise PreconditionError("need intervals of positive length")
     s_plus = params.kernel.norm_bound
     s_minus = -s_plus
     wlo, whi = a + s_minus, b + s_plus
@@ -396,31 +406,29 @@ def wegner_experiment(params: ExperimentParams, interval, a: float, b: float) ->
         raise HypothesisViolationError(
             f"atom at {atoms[0][0]} inside the absolute-continuity window "
             f"]{wlo}, {whi}[")
-    delta = min(lo - a, b - hi)
-    if delta <= 0:
+    deltas = [min(lo - a, b - hi) for lo, hi in intervals]
+    if any(not d > 0 for d in deltas):
         raise HypothesisViolationError("interval is not strictly inside ]a, b[")
     mu_window = params.dist.mass_in(wlo, whi)
     if mu_window <= 0:
         raise HypothesisViolationError("the law puts no mass on the window")
     f_sup = params.dist.density_sup_in(wlo, whi)
-    constant = (2 ** (params.dim + 2)
-                * ((b - a + s_plus - s_minus + 1.0) / delta) ** 2
-                * f_sup / mu_window)
-
     box_size = params.region().n_core
 
-    def one(i):
-        _, engine = _realization(params, i)
-        return float(engine.count_in_closed(lo, hi))
-
-    counts = np.array([[c] for c in _map_realizations(one, params.realizations,
-                                                      params.workers)])
-    mean, stderr = _mean_stderr(counts)
-    lhs = float(mean[0])
-    ratio = lhs / ((hi - lo) * box_size)
-    return WegnerReport((lo, hi), a, b, delta, s_minus, s_plus, f_sup, mu_window,
-                        constant, lhs, float(stderr[0]), ratio,
-                        params.realizations, params.halfwidth, box_size)
+    out = _engine_rows(params, lambda engine: [float(engine.count_in_closed(lo, hi))
+                                               for lo, hi in intervals])
+    reports = []
+    for j, ((lo, hi), delta) in enumerate(zip(intervals, deltas)):
+        constant = (2 ** (params.dim + 2)
+                    * ((b - a + s_plus - s_minus + 1.0) / delta) ** 2
+                    * f_sup / mu_window)
+        mean, stderr = _mean_stderr(np.array([[counts[j]] for counts in out]))
+        lhs = float(mean[0])
+        ratio = lhs / ((hi - lo) * box_size)
+        reports.append(WegnerReport((lo, hi), a, b, delta, s_minus, s_plus, f_sup,
+                                    mu_window, constant, lhs, float(stderr[0]), ratio,
+                                    params.realizations, params.halfwidth, box_size))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -457,19 +465,11 @@ def continuity_probe(params: ExperimentParams, energies: Sequence[float],
         raise HypothesisViolationError("the potential law has atoms at finite values")
     energies = tuple(float(e) for e in energies)
     windows = tuple(sorted((float(w) for w in windows), reverse=True))
-    if not energies or not windows or any(w <= 0 for w in windows):
+    if not energies or not windows or any(not w > 0 for w in windows):
         raise PreconditionError("need energies and positive windows")
     box_size = params.region().n_core
-    uppers = np.array([[e + w for w in windows] for e in energies]).ravel()
-    lowers = np.array([[e - w for w in windows] for e in energies]).ravel()
-
-    def one(i):
-        _, engine = _realization(params, i)
-        c = engine.counts_below(np.concatenate([uppers, lowers]))
-        k = len(uppers)
-        return (c[:k] - c[k:]).reshape(len(energies), len(windows)) / box_size
-
-    samples = np.stack(_map_realizations(one, params.realizations, params.workers))
+    samples = np.stack(_engine_rows(
+        params, lambda engine: _window_jumps(engine, energies, windows, box_size)))
     mean, stderr = _mean_stderr(samples)
     return ContinuityReport(energies, windows, mean, stderr,
                             params.realizations, params.halfwidth)
@@ -525,12 +525,11 @@ def log_hoelder_check(params: ExperimentParams, energy: AlgebraicNumber,
     box_size = params.region().n_core
     edges = np.array([e0] + [e0 + x for x in eps])
 
-    def one(i):
-        _, engine = _realization(params, i)
+    def row(engine):
         c = engine.counts_below(edges, inclusive=True)
         return (c[1:] - c[0]) / box_size
 
-    samples = np.stack(_map_realizations(one, params.realizations, params.workers))
+    samples = np.stack(_engine_rows(params, row))
     lhs_max = samples.max(axis=0)
     violations = int((samples > bounds[None, :]).sum())
     return LogHoelderReport(e0, c_e, eps, bounds, lhs_max, violations,

@@ -13,6 +13,7 @@ independent of traversal order and of any parallel scheduling.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -157,8 +158,10 @@ class PotentialDistribution:
     def __post_init__(self):
         weights = [w for _, w in self.atoms] + [w for *_, w in self.pieces]
         weights.append(self.inactive_weight)
-        if any(w < 0 for w in weights):
-            raise PreconditionError("negative weight in distribution")
+        if any(not w >= 0 for w in weights):
+            raise PreconditionError("negative or NaN weight in distribution")
+        if any(not (math.isfinite(v) or v == math.inf) for v, _ in self.atoms):
+            raise PreconditionError("atom values must be finite or +inf")
         total = sum(weights)
         if abs(total - 1.0) > 1e-12:
             raise PreconditionError(f"weights sum to {total!r}, expected 1")
@@ -249,11 +252,13 @@ class PotentialDistribution:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "PotentialDistribution":
-        return PotentialDistribution(
-            atoms=tuple((float(v), float(w)) for v, w in data.get("atoms", [])),
-            pieces=tuple((float(lo), float(hi), float(w)) for lo, hi, w in data.get("pieces", [])),
-            inactive_weight=float(data.get("inactive", 0.0)),
-        )
+        try:
+            atoms = tuple((float(v), float(w)) for v, w in data.get("atoms", []))
+            pieces = tuple((float(lo), float(hi), float(w)) for lo, hi, w in data.get("pieces", []))
+            inactive = float(data.get("inactive", 0.0))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise PreconditionError(f"malformed distribution: {exc}") from None
+        return PotentialDistribution(atoms=atoms, pieces=pieces, inactive_weight=inactive)
 
     @staticmethod
     def from_json(text: str) -> "PotentialDistribution":

@@ -589,6 +589,8 @@ class AlgebraicNumber:
             raise PreconditionError("min_poly must have integer coefficients")
         if denominator < 1:
             raise PreconditionError("denominator must be a positive integer")
+        if approx is not None and not math.isfinite(approx):
+            raise PreconditionError("approx must be finite")
         if not _poly_gcd_is_constant(coeffs):
             raise PreconditionError("min_poly is not squarefree")
         self.min_poly = coeffs

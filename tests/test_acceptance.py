@@ -57,8 +57,7 @@ def d1_jump_run():
             params = ExperimentParams(1, K1, bernoulli_distribution(0.5), 100000,
                                       grid=np.array([0.0]), realizations=50, seed=seed)
             t0 = time.perf_counter()
-            j0 = ids_jump(params, 0, (1e-6,))
-            j1 = ids_jump(params, 1, (1e-6,))
+            j0, j1 = ids_jump(params, [0, 1], (1e-6,))
             runs[seed] = j0, j1, time.perf_counter() - t0
         return runs[seed]
     return attempt
@@ -176,12 +175,13 @@ def test_criterion_09_wegner_suite():
     dist = PotentialDistribution(pieces=((-1.0, 1.0, 0.7),), inactive_weight=0.3)
     params = ExperimentParams(2, K2, dist, 30, grid=np.array([0.0]),
                               realizations=100, seed=9)
+    widths = (1.0, 0.5, 0.25, 0.125, 0.0625)
+    reports = wegner_experiment(params, [(-w / 2, w / 2) for w in widths], -6.0, 6.0)
     ratios = []
-    for width in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        rep = wegner_experiment(params, (-width / 2, width / 2), -6.0, 6.0)
+    for rep in reports:
         assert rep.ratio <= rep.constant
         ratios.append(rep.ratio)
-    first = wegner_experiment(params, (-0.5, 0.5), -6.0, 6.0)
+    first = reports[0]
     assert first.constant == pytest.approx(16 * (21 / 5.5) ** 2 * 0.5)
     assert max(ratios) <= 3 * min(ratios)
     _pass(9, f"ratios {np.round(ratios, 4).tolist()} all <= C = {first.constant:.1f}; "
@@ -198,7 +198,7 @@ def test_criterion_10_delyon_souillard_contrast():
         control_params = ExperimentParams(1, K1, bernoulli_distribution(0.5), 10000,
                                           grid=np.array([0.0]), realizations=50,
                                           seed=seed)
-        control = ids_jump(control_params, 0, (1e-3,)).jumps[0]
+        control = ids_jump(control_params, [0], (1e-3,))[0].jumps[0]
         if smooth < 0.01 and control > 0.15:
             break
     assert smooth < 0.01

@@ -1,11 +1,15 @@
 """Command-line interface: flags, exit codes, outputs, manifests."""
 
 import csv
+import hashlib
 import json
+
+import pytest
 
 from perclab import cli
 from perclab.cli import SUBCOMMANDS, run
 from perclab.errors import InternalCheckError
+from perclab.spectra import BlockSpectra
 
 
 def _read(path):
@@ -23,6 +27,30 @@ def test_every_subcommand_has_help(capsys):
 def test_usage_error_exit_2(capsys):
     assert run(["ids"]) == 2  # missing --L
     assert run(["nonsense"]) == 2
+
+
+BAD_ARGS = {
+    "workers_negative": ["ids", "--L", "4", "--p", "0.5", "--workers", "-3"],
+    "workers_zero": ["ids", "--L", "4", "--p", "0.5", "--workers", "0"],
+    "energy_zero_denominator": ["jumps", "--L", "4", "--p", "0.5", "--E", "1/0"],
+    "minpoly_not_integer": ["loghoelder", "--L", "4", "--p", "0.5", "--minpoly", "1.5,1"],
+    "dist_atom_not_a_number": ["ids", "--L", "4", "--dist", '{"atoms": [[0, "x"]]}'],
+    "dist_atom_without_weight": ["ids", "--L", "4", "--dist", '{"atoms": [[0]]}'],
+    "dist_atom_nan": ["ids", "--L", "4", "--dist", '{"atoms": [[NaN, 1.0]]}'],
+    "approx_nan": ["loghoelder", "--L", "4", "--p", "0.5", "--minpoly", "-2,0,1",
+                   "--approx", "nan"],
+    "unknown_flag": ["ids", "--L", "4", "--p", "0.5", "--bogus"],
+    "energy_nan": ["jumps", "--L", "4", "--p", "0.5", "--E", "nan"],
+    "window_nan": ["jumps", "--L", "4", "--p", "0.5", "--E", "0", "--windows", "nan"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ARGS))
+def test_bad_arguments_give_one_usage_line(name, tmp_path, capsys):
+    assert run(BAD_ARGS[name] + ["--dim", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_missing_distribution_exit_2(capsys):
@@ -165,3 +193,48 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "perclab" in proc.stdout
+
+
+# sha256 of CSVs written by the code as it was before the jumps and Wegner
+# drivers took all their energies and intervals in one pass over realizations
+GOLDEN = {
+    "jumps": (["jumps", "--dim", "2", "--L", "6", "--p", "0.7", "--E", "0", "--E", "1/2",
+               "--E", "1", "--windows", "1e-2,1e-4,1e-6", "--realizations", "12",
+               "--seed", "3", "--catalog-maxsize", "4"],
+              "a3d7e9e6004af5da4e758248d40f2c2d05cbe31754b062aaafc19e33562382b5"),
+    "wegner": (["wegner", "--dim", "2", "--L", "6",
+                "--dist", '{"pieces": [[-1.0, 1.0, 0.7]], "inactive": 0.3}',
+                "--a", "-6", "--b", "6", "--interval", "-0.5:0.5", "--interval", "-0.25:0.25",
+                "--realizations", "12", "--seed", "4"],
+               "deb8b02b095285e19319a6e6d083576d2946c87afdf1f5220e85369af96c64f5"),
+    "continuity": (["continuity", "--dim", "1", "--L", "300",
+                    "--dist", '{"pieces": [[0.0, 1.0, 0.7]], "inactive": 0.3}',
+                    "--E", "0", "--E", "1/2", "--windows", "1e-1,1e-2,1e-3",
+                    "--realizations", "12", "--seed", "5"],
+                   "65d3e5b4bbcd4559818c2f16cf447156ee9deb40fdf9bd94072d6959de96e384"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_csv_bytes_match_golden_digest(command, tmp_path):
+    argv, digest = GOLDEN[command]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256(_read(tmp_path / f"{command}.csv")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["jumps", "--dim", "2", "--L", "5", "--p", "0.6", "--E", "0", "--E", "1"],
+    ["wegner", "--dim", "2", "--L", "5", "--dist", '{"pieces": [[-1.0, 1.0, 0.7]], "inactive": 0.3}',
+     "--a", "-6", "--b", "6", "--interval", "-0.5:0.5", "--interval", "-0.25:0.25"],
+], ids=["jumps", "wegner"])
+def test_one_engine_per_realization(argv, tmp_path, monkeypatch):
+    built = []
+    init = BlockSpectra.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockSpectra, "__init__", counting)
+    assert run(argv + ["--realizations", "3", "--out", str(tmp_path)]) == 0
+    assert len(built) == 3

@@ -1,6 +1,7 @@
 """Monte Carlo drivers: estimators, bounds, hypothesis checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,12 +89,34 @@ def test_workers_bit_identical():
 
     # the d=1 exact jump: numeric and exact columns
     p1 = bernoulli_params(1, 0.5, 2000, grid=np.array([0.0]), m=8, seed=3)
-    a = ids_jump(p1, 0, (1e-6,))
+    a, = ids_jump(p1, [0], (1e-6,))
     p1.workers = 4
-    b = ids_jump(p1, 0, (1e-6,))
+    b, = ids_jump(p1, [0], (1e-6,))
     assert np.array_equal(a.jumps, b.jumps) and np.array_equal(a.jump_stderrs, b.jump_stderrs)
     assert a.exact_jump is not None
     assert (a.exact_jump, a.exact_stderr) == (b.exact_jump, b.exact_stderr)
+
+
+def test_workers_validated_and_pool_capped_at_realizations(monkeypatch):
+    import perclab.experiments as ex
+    for bad in (0, -3):
+        with pytest.raises(PreconditionError):
+            ExperimentParams(1, K1, bernoulli_distribution(0.5), 10, workers=bad)
+    seen = []
+    pool = ex.ThreadPoolExecutor
+
+    def recording(max_workers):
+        seen.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(ex, "ThreadPoolExecutor", recording)
+    params = bernoulli_params(1, 0.5, 10, m=3)
+    serial = estimate_ids(params)
+    assert seen == []
+    params.workers = 64
+    pooled = estimate_ids(params)
+    assert seen == [3]
+    assert np.array_equal(serial.mean, pooled.mean)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +142,7 @@ def test_jump_series_oracle_matches_closed_forms():
 
 def test_jump_estimate_d1_zero_small():
     params = bernoulli_params(1, 0.5, 4000, grid=np.array([0.0]), m=10, seed=1)
-    est = ids_jump(params, 0, (1e-6,))
+    est, = ids_jump(params, [0], (1e-6,))
     assert est.exact_jump is not None
     assert est.exact_jump == pytest.approx(1 / 6, abs=0.02)
     assert est.jumps[0] == pytest.approx(est.exact_jump, abs=1e-12)
@@ -127,7 +150,7 @@ def test_jump_estimate_d1_zero_small():
 
 def test_jump_at_generic_energy_vanishes():
     params = bernoulli_params(1, 0.5, 2000, grid=np.array([0.0]), m=5, seed=2)
-    est = ids_jump(params, 0.3, (1e-2, 1e-4, 1e-6))
+    est, = ids_jump(params, [0.3], (1e-2, 1e-4, 1e-6))
     assert est.jumps[-1] == 0.0
     assert est.exact_jump is None  # 0.3 is not exactly rational in binary
 
@@ -135,7 +158,29 @@ def test_jump_at_generic_energy_vanishes():
 def test_jump_window_validation():
     params = bernoulli_params(1, 0.5, 100, m=1)
     with pytest.raises(PreconditionError):
-        ids_jump(params, 0, ())
+        ids_jump(params, [0], ())
+    with pytest.raises(PreconditionError):
+        ids_jump(params, [], (1e-6,))
+
+
+def test_one_pass_equals_one_call_per_energy_or_interval():
+    # the reduction layout per energy or interval is the one a lone call uses,
+    # so every estimate is bit-identical to the single-item call
+    params = bernoulli_params(2, 0.7, 6, grid=np.array([0.0]), m=12, seed=3)
+    energies = [0, Fraction(1, 2), 1, 0.3]
+    together = ids_jump(params, energies, (1e-2, 1e-4))
+    for e, est in zip(energies, together):
+        alone, = ids_jump(params, [e], (1e-2, 1e-4))
+        assert est.energy == alone.energy
+        assert np.array_equal(est.jumps, alone.jumps)
+        assert np.array_equal(est.jump_stderrs, alone.jump_stderrs)
+        assert (est.exact_jump, est.exact_stderr) == (alone.exact_jump, alone.exact_stderr)
+    intervals = [(-0.5, 0.5), (-0.25, 0.25), (1.0, 2.5)]
+    reports = wegner_experiment(_wegner_params(m=12), intervals, -6.0, 6.0)
+    for iv, rep in zip(intervals, reports):
+        alone, = wegner_experiment(_wegner_params(m=12), [iv], -6.0, 6.0)
+        assert rep.to_csv_rows() == alone.to_csv_rows()
+        assert (rep.lhs_stderr, rep.constant) == (alone.lhs_stderr, alone.constant)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +252,7 @@ def _wegner_params(m=5, L=8):
 
 
 def test_wegner_constant_worked_example():
-    rep = wegner_experiment(_wegner_params(), (-0.5, 0.5), -6.0, 6.0)
+    rep, = wegner_experiment(_wegner_params(), [(-0.5, 0.5)], -6.0, 6.0)
     expect = 16 * (21 / 5.5) ** 2 * (0.35 / 0.7)
     assert rep.constant == pytest.approx(expect)
     assert rep.delta == pytest.approx(5.5)
@@ -221,12 +266,17 @@ def test_wegner_atom_in_window_rejected():
     params = ExperimentParams(2, K2, dist, 6, grid=np.array([0.0]),
                               realizations=2, seed=0)
     with pytest.raises(HypothesisViolationError):
-        wegner_experiment(params, (-0.5, 0.5), -6.0, 6.0)
+        wegner_experiment(params, [(-0.5, 0.5)], -6.0, 6.0)
 
 
 def test_wegner_interval_placement_rejected():
     with pytest.raises(HypothesisViolationError):
-        wegner_experiment(_wegner_params(m=1), (-7.0, 0.0), -6.0, 6.0)
+        wegner_experiment(_wegner_params(m=1), [(-7.0, 0.0)], -6.0, 6.0)
+    # one misplaced interval rejects the whole list before any realization
+    with pytest.raises(HypothesisViolationError):
+        wegner_experiment(_wegner_params(m=1), [(-0.5, 0.5), (5.0, 6.5)], -6.0, 6.0)
+    with pytest.raises(PreconditionError):
+        wegner_experiment(_wegner_params(m=1), [(-0.5, 0.5), (0.5, 0.5)], -6.0, 6.0)
 
 
 # ---------------------------------------------------------------------------
