@@ -38,15 +38,21 @@ from .spectra import AlgebraicNumber, cluster_spectrum_catalog, eigs_dense, mirr
 
 SUBCOMMANDS = ("ids", "jumps", "gn", "wegner", "loghoelder", "continuity",
                "convergence", "catalog", "mirror")
+GRID_MAX_STEPS = 10 ** 6  # most points a --grid may ask for
 
 
-# argparse types: each raises ValueError on a malformed value, which the parser
-# reports as one usage line ("argument --grid: invalid grid value: ...")
+# argparse types: each raises ValueError on a malformed value, or
+# ArgumentTypeError with the reason, which the parser reports as one usage line
+# ("argument --grid: invalid grid value: ...")
 
 
 def grid(text: str) -> np.ndarray:
     lo, hi, steps = text.split(":")
-    return np.linspace(float(lo), float(hi), int(steps))
+    lo, hi, steps = float(lo), float(hi), int(steps)
+    if not (np.isfinite(lo) and np.isfinite(hi)) or steps > GRID_MAX_STEPS:
+        raise argparse.ArgumentTypeError(
+            f"need finite bounds and at most {GRID_MAX_STEPS} steps, got {text!r}")
+    return np.linspace(lo, hi, steps)
 
 
 def interval(text: str) -> tuple:
@@ -88,7 +94,10 @@ def _load_dist(args) -> PotentialDistribution:
 def _load_kernel(args) -> HoppingKernel:
     if args.kernel == "adjacency":
         return adjacency_kernel(args.dim)
-    return HoppingKernel.from_json_dict(_json_arg(args.kernel))
+    kernel = HoppingKernel.from_json_dict(_json_arg(args.kernel))
+    if kernel.dim != args.dim:
+        raise PreconditionError(f"kernel dimension {kernel.dim} does not match --dim {args.dim}")
+    return kernel
 
 
 def _params(args) -> ExperimentParams:

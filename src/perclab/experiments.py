@@ -27,7 +27,7 @@ from .operator import assemble
 from .percolation import (boundary_cluster_fraction, connected_region,
                           label_clusters)
 from .spectra import (AlgebraicNumber, BlockSpectra, FiniteSpectrumCatalog,
-                      _counts_from_eigs, algebraic_constant)
+                      algebraic_constant)
 
 RESTRICTIONS = ("box", "con")
 
@@ -186,27 +186,14 @@ def estimate_ids(params: ExperimentParams, estimator: str = "counting") -> Empir
         def row(engine):
             return engine.counts_below(grid) / box_size
     else:
-        L = params.halfwidth
-        reach = params.kernel.hop_range
-        inner = L - reach
+        inner = params.halfwidth - params.kernel.hop_range
         if inner < 0:
             raise PreconditionError("box too small for an interior layer")
         n_interior = (2 * inner + 1) ** params.dim
 
         def row(engine):
-            sites = engine.matrix.sites
-            interior = np.abs(sites).max(axis=1) <= inner if len(sites) else np.zeros(0, bool)
-            acc = np.zeros(len(grid))
-            for rows, w, v in engine.dense_blocks_with_vectors():
-                take = interior[rows]
-                if not take.any():
-                    continue
-                cum = np.cumsum(v[take] ** 2, axis=1)
-                idx = _counts_from_eigs(w, grid, inclusive=False)
-                for col, k in enumerate(idx):
-                    if k > 0:
-                        acc[col] += cum[:, k - 1].sum()
-            return acc / n_interior
+            interior = np.abs(engine.matrix.sites).max(axis=1) <= inner
+            return engine.projector_diagonal(grid, interior) / n_interior
 
     samples = np.stack(_engine_rows(params, row))
     mean, stderr = _mean_stderr(samples)

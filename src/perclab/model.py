@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping, Optional
 
 import numpy as np
@@ -87,7 +88,11 @@ class HoppingKernel:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "HoppingKernel":
-        return validate_kernel([(tuple(v), c) for v, c in data["offsets"]])
+        try:
+            offsets = [(tuple(v), c) for v, c in data["offsets"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PreconditionError(f"malformed kernel: {exc!r}") from None
+        return validate_kernel(offsets)
 
 
 def adjacency_kernel(dim: int) -> HoppingKernel:
@@ -114,6 +119,11 @@ def validate_kernel(offsets) -> HoppingKernel:
         items = [(tuple(v), c) for v, c in offsets]
     table = {}
     for v, c in items:
+        if not all(isinstance(x, Real) and float(x).is_integer() for x in v):
+            raise PreconditionError(f"offset {v} must have integer components")
+        if not (isinstance(c, Real) and math.isfinite(c)):
+            raise PreconditionError(f"coefficient {c!r} of offset {v} must be a finite number")
+        v = tuple(int(x) for x in v)
         if v in table and table[v] != c:
             raise PreconditionError(f"offset {v} listed twice with different coefficients")
         table[v] = c
@@ -124,6 +134,8 @@ def validate_kernel(offsets) -> HoppingKernel:
     if len(dims) != 1:
         raise PreconditionError("offset vectors of mixed dimension")
     dim = dims.pop()
+    if dim == 0:
+        raise PreconditionError("offset vectors need at least one component")
     for v, c in table.items():
         neg = tuple(-x for x in v)
         if neg not in table or table[neg] != c:

@@ -41,7 +41,7 @@ class SymmetricOperatorMatrix:
         self.box_size = int(box_size)
         self.exact = bool(exact)
         self.norm_bound = float(norm_bound)
-        self._blocks = None
+        self._layout = None
 
     @property
     def dim(self) -> int:
@@ -76,26 +76,26 @@ class SymmetricOperatorMatrix:
             a[i][j] = a[j][i] = int(v)
         return a
 
-    def blocks(self):
-        """Row index arrays of the connected components, each sorted ascending."""
-        if self._blocks is None:
-            n = self.dim
-            if n == 0:
-                self._blocks = []
-            elif len(self.off_i) == 0:
-                self._blocks = [np.array([k]) for k in range(n)]
-            else:
-                g = sp.csr_matrix(
-                    (np.ones(len(self.off_i), dtype=np.int8), (self.off_i, self.off_j)),
-                    shape=(n, n),
-                )
-                _, labels = csgraph.connected_components(g, directed=False)
-                # stable sort keeps row indices ascending within each label
-                order = np.argsort(labels, kind="stable")
-                _, starts = np.unique(labels[order], return_index=True)
-                ends = np.append(starts[1:], n)
-                self._blocks = [order[s:e] for s, e in zip(starts, ends)]
-        return self._blocks
+    def block_layout(self) -> tuple:
+        """Connected components as arrays (order, starts, labels), computed once.
+
+        labels[r] is the block of row r, blocks numbered by their smallest row;
+        block b holds the rows order[starts[b]:starts[b + 1]], ascending.
+        """
+        if self._layout is None:
+            g = sp.csr_matrix((np.ones(len(self.off_i), dtype=np.int8), (self.off_i, self.off_j)),
+                              shape=(self.dim, self.dim))
+            nb, labels = csgraph.connected_components(g, directed=False)
+            starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=nb))))
+            # stable sort keeps row indices ascending within each label
+            self._layout = np.argsort(labels, kind="stable"), starts, labels
+        return self._layout
+
+    def blocks(self) -> list:
+        """Row index arrays of the connected components: slices of block_layout()."""
+        order, starts, _ = self.block_layout()
+        bounds = starts.tolist()
+        return [order[s:e] for s, e in zip(bounds, bounds[1:])]
 
     def submatrix(self, rows: np.ndarray) -> "SymmetricOperatorMatrix":
         """Restriction to a subset of rows (rows given in ascending order)."""

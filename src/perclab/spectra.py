@@ -166,9 +166,8 @@ def count_below(matrix: SymmetricOperatorMatrix, energy: float, inclusive: bool 
 
 
 class _LargeBlock:
-    def __init__(self, sub: SymmetricOperatorMatrix, rows: np.ndarray):
+    def __init__(self, sub: SymmetricOperatorMatrix):
         self.sub = sub
-        self.rows = rows
         self._csr = None
         self._eigs = None
         self._tri = _tridiagonal_form(sub)
@@ -202,6 +201,13 @@ class _LargeBlock:
         return out
 
 
+def _projector_share(w, v, take, energies) -> np.ndarray:
+    """One block's projector diagonal on {lambda < E - tau}, summed over the rows in take."""
+    cum = np.cumsum(v[take] ** 2, axis=1)
+    return np.array([cum[:, k - 1].sum() if k else 0.0
+                     for k in _counts_from_eigs(w, energies, inclusive=False).tolist()])
+
+
 class BlockSpectra:
     """Counting service for one assembled matrix, organized by cluster block.
 
@@ -213,64 +219,55 @@ class BlockSpectra:
     def __init__(self, matrix: SymmetricOperatorMatrix):
         self.matrix = matrix
         self.box_size = matrix.box_size
-        blocks = matrix.blocks()
-        n = matrix.dim
-        self.block_rows = blocks
-        self.large = []
-        self._classes = []
+        order, starts, labels = matrix.block_layout()
+        n, lens = matrix.dim, np.diff(starts)
 
-        if n == 0:
-            return
-
-        # regroup rows and edges contiguously by block; per-block data are
-        # then plain slices, which is what makes 10^5-block sweeps cheap
-        lens = np.fromiter((len(b) for b in blocks), dtype=np.int64, count=len(blocks))
-        perm = np.concatenate(blocks)
-        bounds = np.cumsum(lens)
-        starts = bounds - lens
+        # regroup rows and edges contiguously by block, in the layout's order;
+        # per-block data are then plain slices, which is what makes 10^5-block
+        # sweeps cheap
         loc_of = np.empty(n, dtype=np.int64)
-        loc_of[perm] = np.arange(n) - np.repeat(starts, lens)
-        block_of = np.empty(n, dtype=np.int64)
-        block_of[perm] = np.repeat(np.arange(len(blocks)), lens)
-        self._row_starts = starts
-        self._row_ends = bounds
-        self._diag_g = matrix.diag[perm]
-        self._sites_g = matrix.sites[perm]
-        if len(matrix.off_i):
-            eb = block_of[matrix.off_i]
-            eorder = np.argsort(eb, kind="stable")
-            self._ei_g = loc_of[matrix.off_i[eorder]]
-            self._ej_g = loc_of[matrix.off_j[eorder]]
-            self._ev_g = matrix.off_v[eorder]
-            ecount = np.bincount(eb, minlength=len(blocks))
-        else:
-            self._ei_g = self._ej_g = np.zeros(0, dtype=np.int64)
-            self._ev_g = np.zeros(0)
-            ecount = np.zeros(len(blocks), dtype=np.int64)
-        ebounds = np.cumsum(ecount)
-        self._edge_starts = ebounds - ecount
-        self._edge_ends = ebounds
+        loc_of[order] = np.arange(n) - np.repeat(starts[:-1], lens)
+        eb = labels[matrix.off_i]
+        eorder = np.argsort(eb, kind="stable")
+        ecount = np.bincount(eb, minlength=len(lens))
+        self._order, self._starts = order, starts
+        self._edge_starts = np.concatenate(([0], np.cumsum(ecount)))
+        self._diag_g = matrix.diag[order]
+        self._sites_g = matrix.sites[order]
+        self._ei_g = loc_of[matrix.off_i[eorder]]
+        self._ej_g = loc_of[matrix.off_j[eorder]]
+        self._ev_g = matrix.off_v[eorder]
 
-        for b in np.flatnonzero(lens > DENSE_BLOCK_MAX):
-            self.large.append(_LargeBlock(matrix.submatrix(blocks[b]), blocks[b]))
-        self._classes = self._group(lens, ecount)
+        self.large = [_LargeBlock(SymmetricOperatorMatrix(
+            *self._parts(b), matrix.box_size, matrix.exact, matrix.norm_bound))
+            for b in np.flatnonzero(lens > DENSE_BLOCK_MAX)]
+        self._classes, self._class_of = self._group(lens, ecount)
+
+    @functools.cached_property
+    def block_rows(self) -> list:
+        """Row index arrays of the blocks, in block order."""
+        return self.matrix.blocks()
 
     def _group(self, lens, ecount):
-        """Classes of identical blocks: (size, representatives, multiplicities).
+        """Classes of identical blocks: [(size, representatives, multiplicities)]
+        and the class of every block, numbered in list order.
 
         Blocks are bucketed by (size, edge count).  Within a bucket every block
         is one fixed-width int64 record (relative sites, diagonal, local edge
         ends, edge values; floats by bit pattern), so np.unique over the
         records is exact and distinct blocks never merge.
         """
+        class_of = np.zeros(len(lens), dtype=np.int64)
+        classes, ncls = [], 0
+        if not len(lens):
+            return classes, class_of
         order = np.lexsort((ecount, lens))
         breaks = np.flatnonzero(np.diff(lens[order]) | np.diff(ecount[order])) + 1
-        classes = []
         for members in np.split(order, breaks):
             size, m = int(lens[members[0]]), int(ecount[members[0]])
-            mult = np.ones(1, dtype=np.int64)
+            reps, inverse, mult = members, 0, np.ones(1, dtype=np.int64)
             if len(members) > 1:
-                rows = self._row_starts[members, None] + np.arange(size)
+                rows = self._starts[members, None] + np.arange(size)
                 edges = self._edge_starts[members, None] + np.arange(m)
                 sites = self._sites_g[rows]
                 records = np.concatenate([
@@ -278,35 +275,37 @@ class BlockSpectra:
                     self._diag_g[rows].view(np.int64),
                     self._ei_g[edges], self._ej_g[edges],
                     self._ev_g[edges].view(np.int64)], axis=1)
-                _, first, mult = np.unique(records, axis=0, return_index=True,
-                                           return_counts=True)
-                members = members[first]
-            classes.append((size, members, mult))
-        return classes
+                _, first, inverse, mult = np.unique(records, axis=0, return_index=True,
+                                                    return_inverse=True, return_counts=True)
+                reps = members[first]
+            class_of[members] = ncls + np.reshape(inverse, -1)
+            classes.append((size, reps, mult))
+            ncls += len(reps)
+        return classes, class_of
 
     def _parts(self, b):
-        r0, r1 = self._row_starts[b], self._row_ends[b]
-        e0, e1 = self._edge_starts[b], self._edge_ends[b]
-        return (self._diag_g[r0:r1], self._sites_g[r0:r1],
+        r0, r1 = self._starts[b], self._starts[b + 1]
+        e0, e1 = self._edge_starts[b], self._edge_starts[b + 1]
+        return (self._sites_g[r0:r1], self._diag_g[r0:r1],
                 self._ei_g[e0:e1], self._ej_g[e0:e1], self._ev_g[e0:e1])
 
-    def _diagonalize_batch(self, size, members):
-        m = len(members)
-        if size == 1:
-            return self._diag_g[self._row_starts[members]].reshape(m, 1)
-        dense = np.zeros((m, size, size))
-        rng = np.arange(size)
-        for x, b in enumerate(members):
-            diag, _, ei, ej, ev = self._parts(b)
-            dense[x, rng, rng] = diag
-            dense[x, ei, ej] = ev
-            dense[x, ej, ei] = ev
-        return np.linalg.eigvalsh(dense)
+    def _dense_stack(self, size, members) -> np.ndarray:
+        """Dense matrices of blocks that share a size and an edge count."""
+        x = np.arange(len(members))[:, None]
+        rows = self._starts[members, None] + np.arange(size)
+        m = self._edge_starts[members[0] + 1] - self._edge_starts[members[0]]
+        edges = self._edge_starts[members, None] + np.arange(m)
+        ei, ej, ev = self._ei_g[edges], self._ej_g[edges], self._ev_g[edges]
+        dense = np.zeros((len(members), size, size))
+        dense[x, np.arange(size), np.arange(size)] = self._diag_g[rows]
+        dense[x, ei, ej] = ev
+        dense[x, ej, ei] = ev
+        return dense
 
     @functools.cached_property
     def small_eigs(self) -> np.ndarray:
         """Ascending eigenvalues, with multiplicity, of every block up to DENSE_BLOCK_MAX."""
-        parts = [np.repeat(self._diagonalize_batch(size, reps), mult, axis=0).ravel()
+        parts = [np.repeat(np.linalg.eigvalsh(self._dense_stack(size, reps)), mult, axis=0).ravel()
                  for size, reps, mult in self._classes if size <= DENSE_BLOCK_MAX]
         return np.sort(np.concatenate(parts)) if parts else np.zeros(0)
 
@@ -326,10 +325,6 @@ class BlockSpectra:
         """Eigenvalues in the closed interval [lo, hi], widened by tau on both sides."""
         return self.count_below(hi, inclusive=True) - self.count_below(lo, inclusive=False)
 
-    @property
-    def total_dim(self) -> int:
-        return self.matrix.dim
-
     # -- exact multiplicities -----------------------------------------------
 
     def kernel_dim(self, energy) -> int:
@@ -341,24 +336,38 @@ class BlockSpectra:
                    for _, reps, mult in self._classes
                    for b, k in zip(reps.tolist(), mult.tolist()))
 
-    # -- spectra with vectors (projector estimator) --------------------------
+    # -- spectral projector (projector estimator) ----------------------------
 
-    def dense_blocks_with_vectors(self):
-        """Yield (global rows, eigenvalues, eigenvectors) per block."""
-        for b, rows in enumerate(self.block_rows):
-            diag, sites, ei, ej, ev = self._parts(b)
-            n = len(diag)
-            if n > DENSE_GUARD:
-                raise ResourceGuardError(
-                    f"projector estimator needs dense spectra; block of size {n} "
-                    f"exceeds guard {DENSE_GUARD}"
-                )
-            a = np.zeros((n, n))
-            a[np.arange(n), np.arange(n)] = diag
-            a[ei, ej] = ev
-            a[ej, ei] = ev
-            w, v = np.linalg.eigh(a)
-            yield rows, w, v
+    def projector_diagonal(self, energies, mask) -> np.ndarray:
+        """Per energy E, the sum over the rows where mask holds of the diagonal of
+        the spectral projector on {lambda < E - tau}.
+
+        Each class is diagonalized once, with eigenvectors.  A block's share
+        depends only on its class and on which of its rows are masked, so it is
+        computed once per (class, mask pattern); the shares are then added one
+        after another in block order, as a loop over the blocks would add them.
+        """
+        energies = np.asarray(energies, dtype=np.float64)
+        take = np.asarray(mask, dtype=bool)[self._order]
+        by_class, done = np.argsort(self._class_of, kind="stable"), 0
+        shares, share_of = [], np.full(len(self._class_of), -1)
+        for size, reps, mult in self._classes:
+            if size > DENSE_GUARD:
+                raise ResourceGuardError(f"projector estimator needs dense spectra; block of "
+                                         f"size {size} exceeds guard {DENSE_GUARD}")
+            w, v = np.linalg.eigh(self._dense_stack(size, reps))
+            blocks, done = by_class[done:done + mult.sum()], done + mult.sum()
+            rows = take[self._starts[blocks, None] + np.arange(size)]
+            live = rows.any(axis=1)
+            rep = self._class_of[blocks[live]] - self._class_of[blocks[0]]  # index into w, v
+            keys, which = np.unique(np.column_stack((rep, rows[live])), axis=0,
+                                    return_inverse=True)
+            share_of[blocks[live]] = len(shares) + which.reshape(-1)
+            shares += [_projector_share(w[k[0]], v[k[0]], k[1:] > 0, energies) for k in keys]
+        total = np.zeros(len(energies))
+        for k in share_of[share_of >= 0].tolist():
+            total += shares[k]
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +432,7 @@ def _dense_int_rows(matrix) -> list:
     return [[int(x) for x in row] for row in a]
 
 
-def _kernel_dim_from_parts(diag, sites, ei, ej, ev, r, s) -> int:
+def _kernel_dim_from_parts(sites, diag, ei, ej, ev, r, s) -> int:
     n = len(diag)
     if n == 0:
         return 0

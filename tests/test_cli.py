@@ -42,9 +42,28 @@ BAD_ARGS = {
     "unknown_flag": ["ids", "--L", "4", "--p", "0.5", "--bogus"],
     "energy_nan": ["jumps", "--L", "4", "--p", "0.5", "--E", "nan"],
     "window_nan": ["jumps", "--L", "4", "--p", "0.5", "--E", "0", "--windows", "nan"],
+    "kernel_offsets_not_a_list": ["ids", "--L", "4", "--p", "0.5", "--kernel", '{"offsets": 5}'],
+    "kernel_without_offsets": ["ids", "--L", "4", "--p", "0.5", "--kernel", "{}"],
+    "kernel_offset_with_three_parts": ["ids", "--L", "4", "--p", "0.5",
+                                       "--kernel", '{"offsets": [[[1], 1, 2]]}'],
+    "kernel_vector_not_a_list": ["ids", "--L", "4", "--p", "0.5",
+                                 "--kernel", '{"offsets": [[1, 1]]}'],
+    "kernel_coefficient_string": ["ids", "--L", "4", "--p", "0.5",
+                                  "--kernel", '{"offsets": [[[1], "a"], [[-1], "a"]]}'],
+    "kernel_coefficient_infinite": ["ids", "--L", "4", "--p", "0.5", "--kernel",
+                                    '{"offsets": [[[1], Infinity], [[-1], Infinity]]}'],
+    "kernel_offset_not_integer": ["ids", "--L", "4", "--p", "0.5",
+                                  "--kernel", '{"offsets": [[[1.5], 1], [[-1.5], 1]]}'],
+    "kernel_zero_dimensional": ["ids", "--L", "4", "--p", "0.5",
+                                "--kernel", '{"offsets": [[[], 1]]}'],
+    "catalog_kernel_of_other_dimension": ["catalog", "--maxsize", "2", "--kernel",
+                                          '{"offsets": [[[1, 0], 1], [[-1, 0], 1]]}'],
+    "grid_too_many_steps": ["ids", "--L", "4", "--p", "0.5", "--grid", "0:1:100000000000"],
+    "grid_infinite_bound": ["ids", "--L", "4", "--p", "0.5", "--grid", "0:inf:5"],
 }
 
 
+@pytest.mark.filterwarnings("error")  # a warning would print lines of its own
 @pytest.mark.parametrize("name", sorted(BAD_ARGS))
 def test_bad_arguments_give_one_usage_line(name, tmp_path, capsys):
     assert run(BAD_ARGS[name] + ["--dim", "1", "--out", str(tmp_path)]) == 2
@@ -197,6 +216,8 @@ def test_console_entry_point():
 
 # sha256 of CSVs written by the code as it was before the jumps and Wegner
 # drivers took all their energies and intervals in one pass over realizations
+# (jumps, wegner, continuity), and before the projector estimator solved one
+# block per class (projector_*; the d=2 box has blocks straddling the interior)
 GOLDEN = {
     "jumps": (["jumps", "--dim", "2", "--L", "6", "--p", "0.7", "--E", "0", "--E", "1/2",
                "--E", "1", "--windows", "1e-2,1e-4,1e-6", "--realizations", "12",
@@ -212,6 +233,12 @@ GOLDEN = {
                     "--E", "0", "--E", "1/2", "--windows", "1e-1,1e-2,1e-3",
                     "--realizations", "12", "--seed", "5"],
                    "65d3e5b4bbcd4559818c2f16cf447156ee9deb40fdf9bd94072d6959de96e384"),
+    "projector_d1": (["ids", "--dim", "1", "--L", "2000", "--p", "0.3",
+                      "--estimator", "projector_diag", "--realizations", "4"],
+                     "03093f68ef10a1c26c1ee4c3d5f24c73b8822c0c993d8fdd52cc76420e8bbf84"),
+    "projector_d2": (["ids", "--dim", "2", "--L", "12", "--p", "0.7",
+                      "--estimator", "projector_diag", "--realizations", "3"],
+                     "d0820d9124be84ea8023c39b005b734f3444ac967440450fbec9d166bfff4d37"),
 }
 
 
@@ -219,7 +246,7 @@ GOLDEN = {
 def test_csv_bytes_match_golden_digest(command, tmp_path):
     argv, digest = GOLDEN[command]
     assert run(argv + ["--out", str(tmp_path)]) == 0
-    assert hashlib.sha256(_read(tmp_path / f"{command}.csv")).hexdigest() == digest
+    assert hashlib.sha256(_read(tmp_path / f"{argv[0]}.csv")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,6 +11,7 @@ from perclab import (ExperimentParams, PotentialDistribution, adjacency_kernel,
                      continuity_probe, convergence_study, estimate_ids,
                      ids_jump, log_hoelder_check, wegner_experiment)
 from perclab.errors import HypothesisViolationError, PreconditionError
+from perclab.experiments import _realization
 from perclab.spectra import AlgebraicNumber
 
 K1 = adjacency_kernel(1)
@@ -69,6 +70,25 @@ def test_counting_and_projector_agree_within_boundary_layer():
     layer = (2 * reach * (2 * L + 1) ** (d - 1) * 2 * d) / (2 * L + 1) ** d
     slack = layer + 4 * (counting.stderr + projector.stderr)
     assert np.all(np.abs(counting.mean - projector.mean) <= slack)
+
+
+def test_projector_solves_one_block_per_class(monkeypatch):
+    # the projector diagonalizes one representative per class of identical
+    # blocks, not every block
+    params = bernoulli_params(1, 0.5, 2000, m=2, seed=4)
+    engines = [_realization(params, i) for i in range(params.realizations)]
+    classes = sum(len(reps) for engine in engines for _, reps, _ in engine._classes)
+    blocks = sum(len(engine.matrix.blocks()) for engine in engines)
+    solved = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        solved.append(a.shape[0] if a.ndim == 3 else 1)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    estimate_ids(params, "projector_diag")
+    assert sum(solved) == classes < blocks
 
 
 def test_restriction_con_below_box():

@@ -40,6 +40,22 @@ def test_kernel_empty():
         validate_kernel([])
 
 
+@pytest.mark.parametrize("offsets", [
+    {(0.5,): 1, (-0.5,): 1},              # not a lattice vector
+    {(1,): math.inf, (-1,): math.inf},
+    {(1,): math.nan, (-1,): math.nan},
+    {(1,): "1", (-1,): "1"},
+    {(): 1},                              # no dimension
+])
+def test_kernel_rejects_non_lattice_offsets_and_non_finite_coefficients(offsets):
+    with pytest.raises(PreconditionError):
+        validate_kernel(offsets)
+
+
+def test_kernel_integer_valued_float_offsets_are_lattice_vectors():
+    assert validate_kernel({(1.0,): 1, (-1.0,): 1}) == adjacency_kernel(1)
+
+
 def test_kernel_idempotent():
     k = validate_kernel({(1, 0): 0.5, (-1, 0): 0.5, (0, 1): -2, (0, -1): -2})
     again = validate_kernel(k.offsets)

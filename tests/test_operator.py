@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from perclab import (Configuration, LatticeRegion, adjacency_kernel, assemble,
-                     validate_kernel)
+                     bernoulli_distribution, sample_configuration, validate_kernel)
 from perclab.errors import PreconditionError, ResourceGuardError
 
 
@@ -88,6 +88,7 @@ def test_empty_active_set_is_legal():
     m = assemble(c, adjacency_kernel(1))
     assert m.dim == 0
     assert m.blocks() == []
+    _check_layout(m)
 
 
 def test_site_outside_region_errors():
@@ -138,11 +139,42 @@ def test_coordinate_export_roundtrip():
     assert np.array_equal(rebuilt, m.to_dense())
 
 
+def _check_layout(m):
+    """block_layout() against its contract, and blocks() against the layout."""
+    order, starts, labels = m.block_layout()
+    assert np.array_equal(np.sort(order), np.arange(m.dim))  # a permutation
+    assert starts[0] == 0 and starts[-1] == m.dim and np.all(np.diff(starts) > 0)
+    groups = [order[s:e] for s, e in zip(starts[:-1], starts[1:])]
+    assert all(np.all(np.diff(g) > 0) for g in groups)  # ascending within a group
+    firsts = [int(g[0]) for g in groups]
+    assert firsts == sorted(firsts)  # groups ordered by their smallest row
+    for b, g in enumerate(groups):
+        assert np.all(labels[g] == b)
+    assert np.array_equal(labels[m.off_i], labels[m.off_j])  # no edge leaves its block
+    blocks = m.blocks()
+    assert len(blocks) == len(groups)
+    assert all(np.array_equal(x, g) for x, g in zip(blocks, groups))
+    return blocks
+
+
 def test_blocks_partition_rows():
     reg = LatticeRegion.box(1, 6, 1)
     c = _config(reg, {(-6,): 0.0, (-5,): 0.0, (0,): 0.0, (3,): 0.0, (4,): 0.0, (5,): 0.0})
     m = assemble(c, adjacency_kernel(1))
-    blocks = m.blocks()
-    assert sorted(len(b) for b in blocks) == [1, 2, 3]
+    blocks = _check_layout(m)
+    assert [len(b) for b in blocks] == [2, 1, 3]
     got = np.sort(np.concatenate(blocks))
     assert np.array_equal(got, np.arange(m.dim))
+
+
+def test_block_layout_without_edges_and_with_interleaved_blocks():
+    reg = LatticeRegion.box(1, 6, 1)
+    isolated = assemble(_config(reg, {(-4,): 0.0, (-1,): 1.0, (2,): 0.0, (6,): 0.0}),
+                        adjacency_kernel(1))
+    assert [b.tolist() for b in _check_layout(isolated)] == [[0], [1], [2], [3]]
+    # in a 2-d box the rows of different clusters interleave in row order
+    reg = LatticeRegion.box(2, 6, 1)
+    for seed in range(4):
+        config = sample_configuration(bernoulli_distribution(0.5), reg, seed, 0)
+        blocks = _check_layout(assemble(config, adjacency_kernel(2)))
+        assert any(b[-1] > c[0] for b, c in zip(blocks, blocks[1:]))

@@ -217,6 +217,29 @@ def test_class_grouping_matches_per_block_oracles(name, seed):
         assert engine.kernel_dim(e) == expect
 
 
+@pytest.mark.parametrize("name", sorted(GROUPING_CASES))
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_projector_diagonal_equals_the_per_block_loop_bitwise(name, seed):
+    # reference: every block diagonalized on its own, shares added block by block
+    law, kernel, halfwidth = GROUPING_CASES[name]
+    region = LatticeRegion.box(2, halfwidth, kernel.hop_range)
+    m = assemble(sample_configuration(law, region, seed, 0), kernel)
+    mask = np.random.default_rng(seed).random(m.dim) < 0.7
+    grid = np.linspace(-5, 5, 23)
+    expect = np.zeros(len(grid))
+    for rows in m.blocks():
+        w, v = np.linalg.eigh(m.submatrix(rows).to_dense())
+        take = mask[rows]
+        if take.any():
+            cum = np.cumsum(v[take] ** 2, axis=1)
+            for col, k in enumerate(np.searchsorted(w, grid - CLUSTER_TOL)):
+                if k > 0:
+                    expect[col] += cum[:, k - 1].sum()
+    got = BlockSpectra(m).projector_diagonal(grid, mask)
+    assert got.tobytes() == expect.tobytes()
+
+
 def test_blocks_differing_in_one_diagonal_entry_are_different_classes():
     # four dimers; the third differs from the others in one diagonal entry only
     m = _matrix({(-5,): 0.0, (-4,): 0.0, (-2,): 0.0, (-1,): 0.0,
