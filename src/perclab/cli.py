@@ -70,9 +70,11 @@ def integers(text: str) -> tuple:
 
 def rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
+        value = Fraction(text)
+        float(value)  # the drivers read it as a float too, so it must fit one
+    except (ZeroDivisionError, OverflowError):
         raise ValueError(text) from None
+    return value
 
 
 def _json_arg(text: str):
@@ -250,7 +252,7 @@ def _cmd_jumps(args, started):
     params = _params(args)
     catalog = None
     if args.catalog_maxsize > 0 and not params.dist.pieces:
-        atom_values = tuple(v for v, w in params.dist.atoms if w > 0) or (0.0,)
+        atom_values = tuple(v for v, _ in params.dist.finite_atoms) or (0.0,)
         shapes = enumerate_connected_subgraphs(params.kernel, args.catalog_maxsize)
         catalog = cluster_spectrum_catalog(shapes, atom_values)
     if args.windows is not None:

@@ -250,8 +250,8 @@ def ids_jump(params: ExperimentParams, energies: Sequence, windows: Sequence[flo
     depend on the window at all.  Returns one JumpEstimate per energy.
     """
     windows = tuple(float(w) for w in windows)
-    if not len(energies) or not windows or any(not w > 0 for w in windows):
-        raise PreconditionError("need energies and positive windows")
+    if not len(energies) or not windows or any(not 0 < w < math.inf for w in windows):
+        raise PreconditionError("need energies and positive finite windows")
     floats = [float(e) for e in energies]
     rationals = [Fraction(e) if isinstance(e, Rational) or (
         isinstance(e, float) and e.is_integer()) else None for e in energies]
@@ -452,8 +452,8 @@ def continuity_probe(params: ExperimentParams, energies: Sequence[float],
         raise HypothesisViolationError("the potential law has atoms at finite values")
     energies = tuple(float(e) for e in energies)
     windows = tuple(sorted((float(w) for w in windows), reverse=True))
-    if not energies or not windows or any(not w > 0 for w in windows):
-        raise PreconditionError("need energies and positive windows")
+    if not energies or not windows or any(not 0 < w < math.inf for w in windows):
+        raise PreconditionError("need energies and positive finite windows")
     box_size = params.region().n_core
     samples = np.stack(_engine_rows(
         params, lambda engine: _window_jumps(engine, energies, windows, box_size)))
@@ -498,7 +498,7 @@ def log_hoelder_check(params: ExperimentParams, energy: AlgebraicNumber,
         raise HypothesisViolationError("kernel coefficients must be integers")
     if params.dist.pieces:
         raise HypothesisViolationError("potential law must be purely atomic (plus mass at infinity)")
-    vals = [v for v, w in params.dist.atoms if w > 0]
+    vals = [v for v, _ in params.dist.finite_atoms]
     if any(v < 0 or v != int(v) for v in vals):
         raise HypothesisViolationError("finite atoms must sit in {0, ..., n}")
     eps = tuple(float(x) for x in eps_list)

@@ -20,10 +20,11 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceGuardError
 
 _MASK64 = (1 << 64) - 1
 _U = np.uint64
+BOX_SITE_MAX = 10 ** 7  # most sites a box, collar included, may hold
 
 
 def _mix64(h):
@@ -186,8 +187,14 @@ class PotentialDistribution:
                 raise PreconditionError("pieces have overlapping interiors")
 
     @property
+    def finite_atoms(self) -> tuple:
+        """((value, weight), ...) of the atoms with positive weight at finite values;
+        an atom at +inf is closed sites, like the inactive weight."""
+        return tuple((v, w) for v, w in self.atoms if w > 0 and math.isfinite(v))
+
+    @property
     def p_active(self) -> float:
-        return 1.0 - self.inactive_weight
+        return 1.0 - self.inactive_weight - sum(w for v, w in self.atoms if v == math.inf)
 
     @property
     def density_sup(self) -> float:
@@ -195,7 +202,7 @@ class PotentialDistribution:
 
     @property
     def has_finite_atoms(self) -> bool:
-        return any(w > 0 for _, w in self.atoms)
+        return bool(self.finite_atoms)
 
     @property
     def atomless_on_reals(self) -> bool:
@@ -203,7 +210,7 @@ class PotentialDistribution:
 
     def max_abs_finite(self) -> float:
         """Largest |value| the law can produce at finite sites."""
-        vals = [abs(v) for v, w in self.atoms if w > 0]
+        vals = [abs(v) for v, _ in self.finite_atoms]
         vals += [max(abs(lo), abs(hi)) for lo, hi, w in self.pieces if w > 0]
         return max(vals, default=0.0)
 
@@ -217,7 +224,7 @@ class PotentialDistribution:
         return m
 
     def atoms_in(self, lo: float, hi: float):
-        return [(v, w) for v, w in self.atoms if w > 0 and lo < v < hi]
+        return [(v, w) for v, w in self.finite_atoms if lo < v < hi]
 
     def density_sup_in(self, lo: float, hi: float) -> float:
         sups = [
@@ -312,6 +319,9 @@ class LatticeRegion:
     def box(dim: int, halfwidth: int, collar: int = 0) -> "LatticeRegion":
         if dim < 1 or halfwidth < 0 or collar < 0:
             raise PreconditionError("box parameters must be nonnegative (dim >= 1)")
+        n = (2 * (int(halfwidth) + int(collar)) + 1) ** int(dim)
+        if n > BOX_SITE_MAX:
+            raise ResourceGuardError(f"box of {n} sites exceeds guard {BOX_SITE_MAX}", reached=n)
         lo, hi = -halfwidth - collar, halfwidth + collar
         axes = [np.arange(lo, hi + 1, dtype=np.int64)] * dim
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)

@@ -6,9 +6,10 @@ Blocks up to DENSE_BLOCK_MAX are diagonalized and counted against the shifted
 energy.  Larger blocks read the count off the inertia of a symmetric
 factorization (Sturm recurrence or sparse LU) of A - (E -/+ tau)*Id, with a
 fall back to dense diagonalization whenever a pivot lands within tolerance
-of zero.  Exact integer routines (fraction-free rank, characteristic
-polynomials) serve jump multiplicities and the log-Holder machinery, where
-floating point is not good enough.
+of zero.  Where floating point is not good enough, exact integer routines
+take over: jump multiplicities by sparse fraction-free elimination on the
+engine's edge lists (no dense matrix is built), and characteristic
+polynomials for the log-Holder machinery.
 
 A realization has many cluster blocks but few distinct ones, so BlockSpectra
 groups identical blocks and solves one representative per class, weighting
@@ -17,7 +18,9 @@ it by the class size.  No block result is cached across calls or realizations.
 
 from __future__ import annotations
 
+import collections
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,11 +161,6 @@ def count_below(matrix: SymmetricOperatorMatrix, energy: float, inclusive: bool 
 
 # ---------------------------------------------------------------------------
 # per-configuration counting engine
-
-# The experiments sweep many energies over the same realization, so the
-# engine diagonalizes each class of identical small blocks once per
-# realization, and keeps factorization counting only for blocks too large to
-# diagonalize.
 
 
 class _LargeBlock:
@@ -332,9 +330,15 @@ class BlockSpectra:
         r, s = _as_rational(energy)
         if not self.matrix.exact:
             raise TypeError("exact kernel dimension requires an exact-integer matrix")
-        return sum(k * _kernel_dim_from_parts(*self._parts(b), r, s)
-                   for _, reps, mult in self._classes
-                   for b, k in zip(reps.tolist(), mult.tolist()))
+        total = 0
+        for _, reps, mult in self._classes:
+            for b, k in zip(reps.tolist(), mult.tolist()):
+                _, diag, ei, ej, ev = self._parts(b)
+                rows = [{i: s * int(d) - r} for i, d in enumerate(diag.tolist())]
+                for i, j, v in zip(ei.tolist(), ej.tolist(), ev.tolist()):
+                    rows[i][j] = rows[j][i] = s * int(v)
+                total += k * (len(rows) - _sparse_rank(rows))
+        return total
 
     # -- spectral projector (projector estimator) ----------------------------
 
@@ -383,88 +387,88 @@ def _as_rational(energy):
     raise PreconditionError(f"exact routines need a rational energy, got {energy!r}")
 
 
-def bareiss_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free elimination (exact)."""
-    m = [list(map(int, r)) for r in rows]
-    nr = len(m)
-    if nr == 0:
-        return 0
-    nc = len(m[0])
-    prev = 1
-    row = 0
-    for col in range(nc):
-        piv_row = None
-        for i in range(row, nr):
-            if m[i][col]:
-                piv_row = i
-                break
-        if piv_row is None:
-            continue
-        if piv_row != row:
-            m[row], m[piv_row] = m[piv_row], m[row]
-        pv = m[row][col]
-        mr = m[row]
-        for i in range(row + 1, nr):
-            mi = m[i]
-            mic = mi[col]
-            if mic:
-                for j in range(col + 1, nc):
-                    mi[j] = (mi[j] * pv - mic * mr[j]) // prev
-                mi[col] = 0
-            elif pv != prev:
-                for j in range(col + 1, nc):
-                    mi[j] = (mi[j] * pv) // prev
-        prev = pv
-        row += 1
-        if row == nr:
-            break
-    return row
-
-
-def _dense_int_rows(matrix) -> list:
-    if isinstance(matrix, SymmetricOperatorMatrix):
-        return matrix.to_dense_int()
+def _int_array(matrix) -> np.ndarray:
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError("expected a square matrix")
     if not np.all(a == np.floor(a)):
         raise TypeError("matrix entries are not exact integers")
-    return [[int(x) for x in row] for row in a]
+    return a
 
 
-def _kernel_dim_from_parts(sites, diag, ei, ej, ev, r, s) -> int:
-    n = len(diag)
-    if n == 0:
-        return 0
-    if n > EXACT_DIM_GUARD:
-        raise ResourceGuardError(
-            f"exact elimination on a block of dimension {n} exceeds guard {EXACT_DIM_GUARD}"
-        )
-    rows = [[0] * n for _ in range(n)]
-    for k in range(n):
-        rows[k][k] = s * int(diag[k]) - r
-    for i, j, v in zip(ei.tolist(), ej.tolist(), ev.tolist()):
-        rows[i][j] = rows[j][i] = s * int(v)
-    return n - bareiss_rank(rows)
+def _dense_int_rows(matrix) -> list:
+    if isinstance(matrix, SymmetricOperatorMatrix):
+        return matrix.to_dense_int()
+    return [[int(x) for x in row] for row in _int_array(matrix)]
+
+
+def _sparse_rank(rows) -> int:
+    """Rank over Q, exactly, of the integer matrix with sparse rows {col: value}.
+
+    Fraction-free elimination over Z.  The pivot is the row with the fewest
+    entries, then its column with the fewest rows (Markowitz order).  Each
+    update is row <- pv*row - a*pivot_row, both factors divided by
+    gcd(pv, a), and the row is then divided by its content.
+    """
+    if len(rows) > EXACT_DIM_GUARD:
+        raise ResourceGuardError(f"exact elimination on a block of dimension {len(rows)} "
+                                 f"exceeds guard {EXACT_DIM_GUARD}")
+    live = {i: {c: v for c, v in row.items() if v} for i, row in enumerate(rows)}
+    rows_of = collections.defaultdict(set)  # column -> live rows with an entry there
+    for i, row in live.items():
+        for c in row:
+            rows_of[c].add(i)
+    heap = [(len(row), i) for i, row in live.items() if row]
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        length, p = heapq.heappop(heap)
+        if len(live.get(p, ())) != length:
+            continue  # eliminated, or pushed again since with another length
+        prow = live.pop(p)
+        for c in prow:
+            rows_of[c].discard(p)
+        col = min(prow, key=lambda c: len(rows_of[c]))
+        pv = prow.pop(col)
+        rank += 1
+        for i in rows_of.pop(col):
+            row = live[i]
+            a = row.pop(col)
+            g = math.gcd(pv, a)
+            fp, fa = pv // g, a // g
+            for c in row:
+                row[c] *= fp
+            for c, v in prow.items():
+                x = row.get(c, 0) - fa * v
+                if x:
+                    rows_of[c].add(i)
+                    row[c] = x
+                elif c in row:
+                    del row[c]
+                    rows_of[c].discard(i)
+            g = math.gcd(*row.values())
+            for c in row:
+                row[c] //= g
+            if row:
+                heapq.heappush(heap, (len(row), i))
+    return rank
 
 
 def kernel_dim_exact(matrix, energy) -> int:
-    """dim ker(A - E) over the rationals, exactly, for rational E.
+    """dim ker(A - E) over the rationals, exactly, for rational E = r/s.
 
-    Computed as dimension minus the rank of s*A - r*Id under fraction-free
-    integer elimination, block by block.
+    n minus the rank of s*A - r*Id: block by block for an assembled matrix
+    (BlockSpectra.kernel_dim), as one block for a square integer array, which
+    need not be symmetric.
     """
-    r, s = _as_rational(energy)
     if isinstance(matrix, SymmetricOperatorMatrix):
-        if not matrix.exact:
-            raise TypeError("kernel_dim_exact requires an exact-integer matrix")
-        return BlockSpectra(matrix).kernel_dim(Fraction(r, s))
-    rows = _dense_int_rows(matrix)
-    n = len(rows)
-    if n > EXACT_DIM_GUARD:
-        raise ResourceGuardError(f"dimension {n} exceeds exact guard {EXACT_DIM_GUARD}")
-    b = [[s * rows[i][j] - (r if i == j else 0) for j in range(n)] for i in range(n)]
-    return n - bareiss_rank(b)
+        return BlockSpectra(matrix).kernel_dim(energy)
+    r, s = _as_rational(energy)
+    a = _int_array(matrix)
+    rows = [{k: -r} for k in range(len(a))]
+    for i, j in zip(*(x.tolist() for x in np.nonzero(a))):
+        rows[i][j] = s * int(a[i, j]) - r * (i == j)
+    return len(rows) - _sparse_rank(rows)
 
 
 def charpoly_exact(matrix) -> tuple:
@@ -618,7 +622,7 @@ class AlgebraicNumber:
                 raise PreconditionError("selected root is not real")
             alpha = float(alpha_c.real)
         scale = max(1.0, max(abs(float(c)) for c in coeffs))
-        if abs(_eval_poly(coeffs, alpha)) > 1e-6 * scale * max(1.0, abs(alpha)) ** self.degree:
+        if abs(np.polyval(coeffs[::-1], alpha)) > 1e-6 * scale * max(1.0, abs(alpha)) ** self.degree:
             raise PreconditionError("numeric value does not satisfy the minimal polynomial")
         self.alpha = alpha
         self.value = alpha / denominator
@@ -634,13 +638,6 @@ class AlgebraicNumber:
     def __repr__(self):
         return (f"AlgebraicNumber(value={self.value!r}, degree={self.degree}, "
                 f"denominator={self.denominator})")
-
-
-def _eval_poly(coeffs, x: float) -> float:
-    out = 0.0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
 
 
 # Supremum over matrix dimensions D >= 1 of log(4 D^3)/D, attained at D = 2.
@@ -718,8 +715,8 @@ def cluster_spectrum_catalog(catalog: SubgraphCatalog, atom_values=(0.0,)) -> Fi
     smallest subgraph that produces it and its multiplicity there.
     """
     atom_values = tuple(float(v) for v in atom_values)
-    if not atom_values:
-        raise PreconditionError("need at least one finite atom value")
+    if not atom_values or not all(map(math.isfinite, atom_values)):
+        raise PreconditionError(f"need at least one atom value, all finite, got {atom_values}")
     total = sum(len(catalog.classes(s)) * len(atom_values) ** s
                 for s in range(1, catalog.max_size + 1))
     if total > ASSIGNMENT_GUARD:

@@ -1,15 +1,22 @@
 """Command-line interface: flags, exit codes, outputs, manifests."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perclab import cli
 from perclab.cli import SUBCOMMANDS, run
 from perclab.errors import InternalCheckError
-from perclab.spectra import BlockSpectra
+from perclab.spectra import CLUSTER_TOL, BlockSpectra
 
 
 def _read(path):
@@ -60,6 +67,15 @@ BAD_ARGS = {
                                           '{"offsets": [[[1, 0], 1], [[-1, 0], 1]]}'],
     "grid_too_many_steps": ["ids", "--L", "4", "--p", "0.5", "--grid", "0:1:100000000000"],
     "grid_infinite_bound": ["ids", "--L", "4", "--p", "0.5", "--grid", "0:inf:5"],
+    "catalog_atom_inf": ["catalog", "--maxsize", "2", "--atoms", "inf"],
+    "catalog_atom_nan": ["catalog", "--maxsize", "2", "--atoms", "nan"],
+    "catalog_atoms_with_inf": ["catalog", "--maxsize", "2", "--atoms", "0,inf"],
+    "energy_beyond_float": ["jumps", "--L", "5", "--p", "0.5", "--E", "1e400"],
+    "energy_beyond_float_negative": ["jumps", "--L", "5", "--p", "0.5", "--E", "-1e400"],
+    "window_inf": ["jumps", "--L", "4", "--p", "0.5", "--E", "0", "--windows", "inf"],
+    "window_beyond_float": ["jumps", "--L", "4", "--p", "0.5", "--E", "0", "--windows", "1e400"],
+    "continuity_window_inf": ["continuity", "--L", "4", "--E", "0", "--windows", "1e-2,inf",
+                              "--dist", '{"pieces": [[0.0, 1.0, 0.7]], "inactive": 0.3}'],
 }
 
 
@@ -70,6 +86,41 @@ def test_bad_arguments_give_one_usage_line(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: usage:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+INF_ATOM = '{"atoms": [[0, 0.5], [Infinity, 0.5]]}'
+INACTIVE = '{"atoms": [[0, 0.5]], "inactive": 0.5}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["jumps", "--dim", "1", "--L", "4", "--E", "0", "--E", "1"],
+    ["loghoelder", "--dim", "1", "--L", "4", "--E", "0"],
+], ids=["jumps", "loghoelder"])
+def test_an_atom_at_infinity_runs_like_the_inactive_weight(argv, tmp_path):
+    # +inf atoms close sites: the catalog and the log-Holder bound take only
+    # the finite atoms, so the law runs as its "inactive" spelling does
+    tables = []
+    for name, law in (("inf", INF_ATOM), ("inactive", INACTIVE)):
+        assert run(argv + ["--dist", law, "--realizations", "2",
+                           "--out", str(tmp_path / name)]) == 0
+        tables.append(list(csv.reader(open(tmp_path / name / f"{argv[0]}.csv"))))
+    assert tables[0] == tables[1]
+    if argv[0] == "jumps":
+        assert [row[-1] for row in tables[0]] == ["catalog_match", "0", "1"]
+
+
+def test_an_atom_at_infinity_is_no_finite_atom(tmp_path):
+    law = '{"atoms": [[Infinity, 0.4]], "pieces": [[0.0, 1.0, 0.6]]}'
+    assert run(["continuity", "--dim", "1", "--L", "20", "--dist", law, "--E", "0",
+                "--realizations", "2", "--out", str(tmp_path)]) == 0
+
+
+def test_box_beyond_the_site_guard_exit_4(tmp_path, capsys):
+    # the guard trips on the site count, before anything is allocated
+    code = run(["ids", "--dim", "3", "--L", "100000000", "--p", "0.5", "--out", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: resource-guard:") and err.count("\n") == 1
 
 
 def test_missing_distribution_exit_2(capsys):
@@ -265,3 +316,95 @@ def test_one_engine_per_realization(argv, tmp_path, monkeypatch):
     monkeypatch.setattr(BlockSpectra, "__init__", counting)
     assert run(argv + ["--realizations", "3", "--out", str(tmp_path)]) == 0
     assert len(built) == 3
+
+
+# Fuzzing the whole front end in-process: small boxes, degenerate and
+# malformed laws, energies snapped around spectral points, non-finite and
+# malformed values.  Whatever the input, the exit code is a documented one, a
+# failure is one stderr line, and nothing escapes as a traceback.
+
+GOOD_LAWS = (
+    ["--p", "0"], ["--p", "1"], ["--p", "0.5"],
+    ["--dist", INF_ATOM],
+    ["--dist", '{"atoms": [[Infinity, 1.0]]}'],                         # only closed sites
+    ["--dist", '{"atoms": [[1, 1.0]]}'],                                # one atom
+    ["--dist", '{"atoms": [[0, 0.5], [1, 0.3]], "inactive": 0.2}'],
+    ["--dist", '{"atoms": [[0, 0.5]], "pieces": [[0.0, 1.0, 0.5]]}'],   # atom on a piece end
+    ["--dist", '{"pieces": [[-1.0, 1.0, 0.6]], "inactive": 0.4}'],
+    ["--dist", '{"pieces": [[-1.0, 1.0, 0.6]], "atoms": [[Infinity, 0.4]]}'],
+)
+BAD_LAWS = (
+    ["--dist", '{"atoms": [[0, 0.5]'], ["--dist", '{"atoms": 5}'], ["--dist", "[]"],
+    ["--dist", '{"atoms": [[NaN, 1.0]]}'], ["--dist", '{"atoms": [[0, 0.7]]}'],
+    ["--dist", '{"pieces": [[1.0, 0.0, 1.0]]}'], ["--p", "nan"], ["--p", "2"],
+)
+# eigenvalues of small clusters at potential 0, shifted by the atoms 0 and 1
+SPECTRAL_POINTS = tuple(lam + a for lam in (0.0, 1.0, -1.0, 2.0, math.sqrt(2), math.sqrt(3),
+                                            (1 + math.sqrt(5)) / 2) for a in (0.0, 1.0))
+SNAPS = tuple(k * CLUSTER_TOL for k in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0))
+ODD_VALUES = ("inf", "-inf", "nan", "1e400", "-1e400", "1/0", "x", "")
+
+
+def mostly(good, bad):
+    """Good values three times in four, so that most runs get past the parser."""
+    return st.one_of(good, good, good, bad)
+
+
+energy_text = mostly(
+    st.builds(lambda lam, off: repr(lam + off), st.sampled_from(SPECTRAL_POINTS),
+              st.sampled_from(SNAPS)) | st.sampled_from(("0", "1", "-2", "1/2", "-3/2")),
+    st.sampled_from(ODD_VALUES))
+windows_text = mostly(st.sampled_from(("1e-6", "1e-2,1e-4", "1e-9")),
+                      st.sampled_from(("0", "-1e-3", "inf", "1e400", "nan", ",", "a")))
+grid_text = mostly(
+    st.builds(lambda lam, n: f"{lam - 2 * CLUSTER_TOL!r}:{lam + 2 * CLUSTER_TOL!r}:{n}",
+              st.sampled_from(SPECTRAL_POINTS), st.integers(1, 9)) | st.just("-3:3:13"),
+    st.sampled_from(("0:1", "a:b:3", "0:inf:5", "nan:1:3", "0:1:-3", "0:1:0", "1:0:5",
+                     "0:1:100000000000")))
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(("ids", "jumps", "continuity", "loghoelder", "wegner",
+                                    "catalog")))
+    argv = [command, "--dim", str(draw(st.integers(1, 2)))]
+    if command == "catalog":
+        atoms = draw(st.lists(mostly(st.sampled_from(("0", "1", "-1.5")),
+                                     st.sampled_from(ODD_VALUES[:5])), min_size=1, max_size=2))
+        return argv + ["--maxsize", str(draw(st.integers(1, 3))), "--atoms", ",".join(atoms)]
+    argv += ["--L", str(draw(st.integers(0, 6))), "--realizations",
+             str(draw(st.integers(1, 2)))]
+    argv += draw(mostly(st.sampled_from(GOOD_LAWS), st.sampled_from(BAD_LAWS)))
+    if command == "ids":
+        argv += ["--grid", draw(grid_text)]
+    elif command in ("jumps", "continuity"):
+        for e in draw(st.lists(energy_text, min_size=1, max_size=3)):
+            argv += ["--E", e]
+        if draw(st.booleans()):
+            argv += ["--windows", draw(windows_text)]
+        if command == "jumps":
+            argv += ["--catalog-maxsize", str(draw(st.sampled_from((0, 2, 4))))]
+    elif command == "loghoelder":
+        argv += ["--E", draw(energy_text),
+                 "--eps", draw(mostly(st.just("1e-2,1e-4"), st.sampled_from(("2", "nan"))))]
+    else:
+        lo, width = draw(st.sampled_from((-0.5, -0.25, -7.0))), draw(st.sampled_from((0.5, 0.0)))
+        argv += ["--a", "-6", "--b", "6", "--interval", f"{lo}:{lo + width}"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=fuzz_argv())
+def test_fuzzed_command_lines_exit_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")  # a warning prints lines of its own
+        code = run(argv + ["--out", tmp])
+    text = err.getvalue()
+    assert code in (0, 2, 3, 4, 5), (argv, code, text)
+    assert "Traceback" not in text
+    if code:
+        assert text.startswith("error: ") and text.count("\n") == 1, (argv, text)
+    else:
+        assert text == "", (argv, text)

@@ -9,7 +9,8 @@ import pytest
 from perclab import (LatticeRegion, PotentialDistribution,
                      adjacency_kernel, bernoulli_distribution, boundary,
                      sample_configuration, validate_kernel)
-from perclab.errors import PreconditionError
+from perclab.errors import PreconditionError, ResourceGuardError
+from perclab.model import BOX_SITE_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +89,16 @@ def test_collar_is_l1_shells():
         assert d == sh and 1 <= d <= 2
 
 
+def test_box_site_guard_trips_before_allocating():
+    # each case asks for BOX_SITE_MAX + 1 sites or (far) more; the guard
+    # counts the collar's bounding box too
+    for dim, halfwidth, collar in ((1, BOX_SITE_MAX // 2, 0), (1, BOX_SITE_MAX // 2 - 1, 1),
+                                   (3, 10 ** 8, 0), (2, 10 ** 18, 2)):
+        with pytest.raises(ResourceGuardError) as info:
+            LatticeRegion.box(dim, halfwidth, collar)
+        assert info.value.reached == (2 * (halfwidth + collar) + 1) ** dim
+
+
 def test_boundary_interval_inner_outer():
     reg = LatticeRegion.box(1, 2, 2)
     sub = [(-2,), (-1,), (0,), (1,), (2,)]
@@ -150,6 +161,18 @@ def test_distribution_derived_quantities():
     assert math.isclose(d.mass_in(-0.5, 0.5), 0.25 + 0.2)
     assert math.isclose(d.mass_in(0.25, 1.0), 0.1875)
     assert math.isclose(d.max_abs_finite(), 1.0)
+
+
+def test_an_atom_at_infinity_is_closed_sites():
+    d = PotentialDistribution(atoms=((math.inf, 0.3), (2.0, 0.2), (-1.0, 0.0)),
+                              pieces=((0.0, 1.0, 0.5),))
+    assert d.finite_atoms == ((2.0, 0.2),)
+    assert math.isclose(d.p_active, 0.7)
+    assert math.isclose(d.max_abs_finite(), 2.0)
+    assert d.atoms_in(-math.inf, math.inf) == [(2.0, 0.2)]
+    only_closed = PotentialDistribution(atoms=((math.inf, 0.4),), pieces=((0.0, 1.0, 0.6),))
+    assert not only_closed.has_finite_atoms and only_closed.atomless_on_reals
+    assert only_closed.max_abs_finite() == 1.0
 
 
 def test_distribution_json_roundtrip():

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ, ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from perclab import (AlgebraicNumber, Configuration, LatticeRegion,
                      PotentialDistribution, adjacency_kernel,
@@ -17,7 +19,7 @@ from perclab import (AlgebraicNumber, Configuration, LatticeRegion,
                      kernel_dim_exact, luck_bound, mirror_embed,
                      sample_configuration, validate_kernel)
 from perclab.errors import PreconditionError, ResourceGuardError
-from perclab.spectra import CLUSTER_TOL, DENSE_BLOCK_MAX, BlockSpectra, bareiss_rank
+from perclab.spectra import CLUSTER_TOL, DENSE_BLOCK_MAX, EXACT_DIM_GUARD, BlockSpectra
 
 INF = float("inf")
 
@@ -183,6 +185,15 @@ GROUPING_CASES = {  # name -> (law, kernel, halfwidth)
 }
 
 
+def _nullity_oracle(rows, e: Fraction) -> int:
+    """dim ker(A - E) of a dense integer matrix by sympy's rank over QQ."""
+    if not rows:
+        return 0
+    shifted = [[e.denominator * x - (e.numerator if i == j else 0) for j, x in enumerate(row)]
+               for i, row in enumerate(rows)]
+    return len(rows) - DomainMatrix.from_list(shifted, ZZ).convert_to(QQ).rank()
+
+
 def _class_sizes(engine):
     return sorted(k for _, _, mult in engine._classes for k in mult.tolist())
 
@@ -209,11 +220,7 @@ def test_class_grouping_matches_per_block_oracles(name, seed):
     if not m.exact:
         return
     for e in map(Fraction, (-2, -1, 0, 1, 2, 3, Fraction(1, 2))):
-        expect = 0
-        for sub in subs:
-            shifted = [[e.denominator * x - (e.numerator if i == j else 0)
-                        for j, x in enumerate(row)] for i, row in enumerate(sub.to_dense_int())]
-            expect += sub.dim - bareiss_rank(shifted)
+        expect = sum(_nullity_oracle(sub.to_dense_int(), e) for sub in subs)
         assert engine.kernel_dim(e) == expect
 
 
@@ -297,6 +304,100 @@ def test_kernel_dim_exact_examples():
     assert kernel_dim_exact(path3(), 0) == 1
     assert kernel_dim_exact(dimer(), 1) == 1
     assert kernel_dim_exact(dimer(), Fraction(1, 2)) == 0
+
+
+# The exact path against an independent oracle, sympy's rank over QQ: the
+# engine's block-by-block elimination and kernel_dim_exact on assembled
+# matrices and on plain integer arrays, which need not be symmetric.
+
+EXACT_ENERGIES = tuple(map(Fraction, (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2),
+                                      Fraction(1, 3), Fraction(7, 4))))
+
+
+def _lattice_tree(rng, dim=2, size=40):
+    """Active sites whose induced lattice graph is a tree, grown from the origin."""
+    sites, frontier = {(0,) * dim}, [(0,) * dim]
+    moves = [tuple(d if k == a else 0 for k in range(dim)) for a in range(dim) for d in (-1, 1)]
+    while frontier and len(sites) < size:
+        s = frontier.pop(int(rng.integers(len(frontier))))
+        for v in moves:
+            t = tuple(x + y for x, y in zip(s, v))
+            nbrs = sum(tuple(x + y for x, y in zip(t, w)) in sites for w in moves)
+            if t not in sites and nbrs == 1 and max(map(abs, t)) <= 6 and rng.random() < 0.6:
+                sites.add(t)
+                frontier.append(t)
+    return _matrix({s: 0.0 for s in sites}, 6, dim=dim)
+
+
+def _tree_array(rng, n):
+    """Adjacency of a star or, half the time, a random recursive tree on n vertices."""
+    star = rng.random() < 0.5
+    a = np.zeros((n, n), dtype=np.int64)
+    for k in range(1, n):
+        parent = 0 if star else int(rng.integers(k))
+        a[k, parent] = a[parent, k] = 1
+    return a
+
+
+def _assembled(rng, law, kernel, halfwidth):
+    region = LatticeRegion.box(2, halfwidth, kernel.hop_range)
+    return assemble(sample_configuration(law, region, int(rng.integers(2 ** 16)), 0), kernel)
+
+
+EXACT_CASES = {  # name -> rng -> assembled matrix or square integer array
+    "two_atoms": lambda rng: _assembled(
+        rng, PotentialDistribution(atoms=((0.0, 0.3), (1.0, 0.3)), inactive_weight=0.4),
+        adjacency_kernel(2), 5),
+    "anisotropic": lambda rng: _assembled(rng, bernoulli_distribution(0.5),
+                                          GROUPING_CASES["anisotropic"][1], 4),
+    "lattice_tree": _lattice_tree,
+    "tree_or_star_array": lambda rng: _tree_array(rng, int(rng.integers(1, 60))),
+    # A = U V + c Id has a kernel of dimension >= n - k at E = c
+    "non_symmetric_array": lambda rng: (
+        lambda n, k: rng.integers(-3, 4, (n, k)) @ rng.integers(-3, 4, (k, n))
+        + int(rng.integers(-2, 3)) * np.eye(n, dtype=np.int64))(
+            int(rng.integers(1, 25)), int(rng.integers(0, 6))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CASES))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_exact_kernel_dim_matches_sympy_oracle(name, seed):
+    a = EXACT_CASES[name](np.random.default_rng(seed))
+    if isinstance(a, np.ndarray):
+        for e in EXACT_ENERGIES:
+            assert kernel_dim_exact(a, e) == _nullity_oracle(a.tolist(), e)
+        return
+    engine = BlockSpectra(a)
+    subs = [a.submatrix(b) for b in a.blocks()]
+    for e in EXACT_ENERGIES:
+        expect = sum(_nullity_oracle(sub.to_dense_int(), e) for sub in subs)
+        assert engine.kernel_dim(e) == expect
+        assert kernel_dim_exact(a, e) == expect
+        assert kernel_dim_exact(a.to_dense_int(), e) == expect
+
+
+def test_exact_kernel_dim_on_empty_single_and_guarded_inputs():
+    for e in EXACT_ENERGIES:
+        assert kernel_dim_exact(np.zeros((0, 0), dtype=np.int64), e) == 0
+        assert kernel_dim_exact([[3]], e) == int(e == 3)
+        assert kernel_dim_exact([[0, 1], [0, 0]], e) == int(e == 0)  # one Jordan block
+    path = np.eye(EXACT_DIM_GUARD, k=1, dtype=np.int8)  # int8 keeps the arrays at 16 MB
+    assert kernel_dim_exact(path + path.T, 0) == 0  # even path: 0 is no eigenvalue
+    bigger = np.zeros((EXACT_DIM_GUARD + 1,) * 2, dtype=np.int8)
+    with pytest.raises(ResourceGuardError):
+        kernel_dim_exact(bigger, 0)
+
+
+def test_import_perclab_leaves_sympy_out():
+    # sympy is a test-side oracle only; importing it would add to every start-up
+    import subprocess
+    import sys
+    code = "import sys, perclab; print('sympy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_kernel_dim_requires_exact():
