@@ -29,7 +29,7 @@ from .experiments import (DEFAULTS, ExperimentParams, cluster_density_profile,
                           continuity_probe, convergence_study, estimate_ids,
                           ids_jump, jump_window_for_catalog, log_hoelder_check,
                           wegner_experiment)
-from .model import (Configuration, HoppingKernel, LatticeRegion,
+from .model import (BOX_SITE_MAX, Configuration, HoppingKernel, LatticeRegion,
                     PotentialDistribution, adjacency_kernel,
                     bernoulli_distribution)
 from .operator import assemble
@@ -39,6 +39,7 @@ from .spectra import AlgebraicNumber, cluster_spectrum_catalog, eigs_dense, mirr
 SUBCOMMANDS = ("ids", "jumps", "gn", "wegner", "loghoelder", "continuity",
                "convergence", "catalog", "mirror")
 GRID_MAX_STEPS = 10 ** 6  # most points a --grid may ask for
+DIM_MAX = max(d for d in range(1, 64) if 3 ** d <= BOX_SITE_MAX)  # 14
 
 
 # argparse types: each raises ValueError on a malformed value, or
@@ -53,6 +54,15 @@ def grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(
             f"need finite bounds and at most {GRID_MAX_STEPS} steps, got {text!r}")
     return np.linspace(lo, hi, steps)
+
+
+def dimension(text: str) -> int:
+    dim = int(text)
+    # the smallest box has side 3, so dim must leave room for 3**dim sites
+    if not 1 <= dim <= DIM_MAX:
+        raise argparse.ArgumentTypeError(
+            f"need 1 <= dim <= {DIM_MAX} (3**dim <= {BOX_SITE_MAX} sites), got {text!r}")
+    return dim
 
 
 def interval(text: str) -> tuple:
@@ -166,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def base(p):
-        p.add_argument("--dim", type=int, default=2)
+        p.add_argument("--dim", type=dimension, default=2)
         p.add_argument("--kernel", type=str, default="adjacency")
         p.add_argument("--seed", type=int, default=DEFAULTS.seed)
         p.add_argument("--out", type=str, default=".")

@@ -174,7 +174,9 @@ def enumerate_connected_subgraphs(kernel: HoppingKernel, max_size: int) -> Subgr
 
     Growth enumeration: every class of size s+1 is some class of size s plus
     one adjacent site, so breadth-first growth with canonical deduplication
-    is exhaustive.
+    is exhaustive.  Growing a level of classes of size s tries at most
+    len(level) * s * len(moves) sets, so the guard trips on that bound before
+    the level is grown, not after it has been stored.
     """
     if max_size < 1:
         raise PreconditionError("max_size must be >= 1")
@@ -183,7 +185,11 @@ def enumerate_connected_subgraphs(kernel: HoppingKernel, max_size: int) -> Subgr
     current = {(origin,)}
     levels = [tuple(sorted(current))]
     visited = 1
-    for _ in range(max_size - 1):
+    for size in range(1, max_size):
+        bound = visited + len(current) * size * len(moves)
+        if bound > SUBGRAPH_GUARD:
+            raise ResourceGuardError(
+                f"subgraph enumeration would exceed guard ({SUBGRAPH_GUARD})", reached=bound)
         grown = set()
         for cls in current:
             members = set(cls)
@@ -196,11 +202,6 @@ def enumerate_connected_subgraphs(kernel: HoppingKernel, max_size: int) -> Subgr
                     if cand not in grown:
                         grown.add(cand)
                         visited += 1
-                        if visited > SUBGRAPH_GUARD:
-                            raise ResourceGuardError(
-                                f"subgraph enumeration exceeded guard ({SUBGRAPH_GUARD})",
-                                reached=visited,
-                            )
         current = grown
         levels.append(tuple(sorted(current)))
     return SubgraphCatalog(kernel, max_size, tuple(levels))

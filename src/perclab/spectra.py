@@ -6,9 +6,12 @@ Blocks up to DENSE_BLOCK_MAX are diagonalized and counted against the shifted
 energy.  Larger blocks read the count off the inertia of a symmetric
 factorization (Sturm recurrence or sparse LU) of A - (E -/+ tau)*Id, with a
 fall back to dense diagonalization whenever a pivot lands within tolerance
-of zero.  Where floating point is not good enough, exact integer routines
-take over: jump multiplicities by sparse fraction-free elimination on the
-engine's edge lists (no dense matrix is built), and characteristic
+of zero; the block is counted from that spectrum from then on.  Sparse LU
+orders a block once, at its first energy, and writes each later shift into
+the diagonal of the ordered copy in place.  Shifts beyond the norm bound are
+not factored at all.  Where floating point is not good enough, exact integer
+routines take over: jump multiplicities by sparse fraction-free elimination on
+the engine's edge lists (no dense matrix is built), and characteristic
 polynomials for the log-Holder machinery.
 
 A realization has many cluster blocks but few distinct ones, so BlockSpectra
@@ -107,23 +110,37 @@ def _sturm_negcount_multi(diag, sub, energies, tol):
     return neg, aborted
 
 
-def _splu_negcount(shifted_csc, tol: float) -> Optional[int]:
-    """Negative-pivot count from a symmetric-mode sparse LU factorization."""
+def _splu_negcount(shifted_csc, permc_spec: str, tol: float):
+    """(negative-pivot count, column order) of a symmetric-mode sparse LU
+    factorization; (None, None) when a pivot lands within tol of zero."""
     try:
         lu = spla.splu(
             shifted_csc,
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec=permc_spec,
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
     except RuntimeError:
-        return None  # exactly singular
+        return None, None  # exactly singular
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None  # off-diagonal pivoting broke symmetry
+        return None, None  # off-diagonal pivoting broke symmetry
     d = lu.U.diagonal()
     if np.abs(d).min() <= tol:
-        return None
-    return int((d < 0).sum())
+        return None, None
+    return int((d < 0).sum()), lu.perm_c.copy()  # a view would keep the factor alive
+
+
+def _csc_with_diagonal(sub: SymmetricOperatorMatrix, perm: np.ndarray):
+    """sub as a CSC matrix whose row and column k move to perm[k], with a slot
+    for every diagonal entry (zeros included), and the data positions of those
+    slots in column order; the diagonal values are left for the caller."""
+    n = sub.dim
+    i = perm[np.concatenate([sub.off_i, sub.off_j, np.arange(n)])]
+    j = perm[np.concatenate([sub.off_j, sub.off_i, np.arange(n)])]
+    v = np.concatenate([sub.off_v, sub.off_v, np.ones(n)])
+    a = sp.csc_matrix((v, (i, j)), shape=(n, n))
+    col = np.repeat(np.arange(n), np.diff(a.indptr))
+    return a, np.flatnonzero(a.indices == col)
 
 
 def _tridiagonal_form(sub: SymmetricOperatorMatrix):
@@ -164,38 +181,73 @@ def count_below(matrix: SymmetricOperatorMatrix, energy: float, inclusive: bool 
 
 
 class _LargeBlock:
+    """A block beyond DENSE_BLOCK_MAX, counted by the inertia of A - s*Id.
+
+    The sparse LU route keeps one CSC copy of A and writes diag - s into its
+    diagonal slots in place.  The first factorization picks the fill-reducing
+    order (MMD on A + A^T); the copy is then permuted into that order once, and
+    every later shift is factored in its natural order.  Once a pivot has
+    aborted to the dense spectrum, the block is counted from that spectrum.
+    """
+
     def __init__(self, sub: SymmetricOperatorMatrix):
         self.sub = sub
-        self._csr = None
         self._eigs = None
         self._tri = _tridiagonal_form(sub)
+        self._csc = None  # (matrix, diagonal slots, diagonal values) in factor order
+        self._ordered = False
 
     def eigs(self) -> np.ndarray:
         if self._eigs is None:
             self._eigs = _dense_eigs_for_block(self.sub)
         return self._eigs
 
+    def _negcount(self, shift: float, tol: float) -> Optional[int]:
+        """#{lambda < shift} by sparse LU, or None when a pivot aborts."""
+        if self._csc is None:
+            self._csc = (*_csc_with_diagonal(self.sub, np.arange(self.sub.dim)),
+                         self.sub.diag.copy())
+        a, slots, diag = self._csc
+        a.data[slots] = diag - shift
+        neg, perm = _splu_negcount(a, "NATURAL" if self._ordered else "MMD_AT_PLUS_A", tol)
+        if neg is not None and not self._ordered:
+            # permute into the chosen order within the copy's own arrays: arrays
+            # first allocated now, above a freed factorization, would fragment
+            # the heap and raise the peak memory of every later factorization
+            b, b_slots = _csc_with_diagonal(self.sub, perm)
+            for old, new in ((a.indptr, b.indptr), (a.indices, b.indices),
+                             (a.data, b.data), (slots, b_slots)):
+                old[:] = new
+            diag[perm] = self.sub.diag
+            self._ordered = True
+        return neg
+
     def counts(self, energies: np.ndarray, inclusive: bool) -> np.ndarray:
-        if self._eigs is not None:
-            return _counts_from_eigs(self._eigs, energies, inclusive)
         energies = np.asarray(energies, dtype=np.float64)
-        tol = PIVOT_RTOL * max(1.0, self.sub.norm_bound + np.abs(energies).max())
         # inertia at a shift s counts lambda < s: N(E) at s = E - tau, and
         # N<=(E) at s = E + tau unless an eigenvalue sits on s, where a pivot
         # lands within tolerance and the block falls back to the dense snap
         shifts = energies + (CLUSTER_TOL if inclusive else -CLUSTER_TOL)
-        if self._tri is not None:
-            neg, aborted = _sturm_negcount_multi(self._tri[0], self._tri[1], shifts, tol)
-            if aborted.any():
-                neg[aborted] = _counts_from_eigs(self.eigs(), energies[aborted], inclusive)
-            return neg.astype(np.int64)
-        if self._csr is None:
-            self._csr = self.sub.to_sparse()
-        out = np.zeros(len(energies), dtype=np.int64)
-        eye = sp.identity(self.sub.dim, format="csr")
-        for k, e in enumerate(shifts):
-            c = _splu_negcount((self._csr - float(e) * eye).tocsc(), tol)
-            out[k] = _counts_from_eigs(self.eigs(), energies[k], inclusive) if c is None else c
+        # beyond the Gershgorin bound every eigenvalue lies on one side of s
+        bound = self.sub.norm_bound
+        out = np.where(shifts > bound, self.sub.dim, 0).astype(np.int64)
+        todo = np.flatnonzero(np.abs(shifts) <= bound)
+        tol = PIVOT_RTOL * max(1.0, bound + np.abs(energies).max(initial=0.0))
+        if self._eigs is None and self._tri is not None:
+            neg, aborted = _sturm_negcount_multi(self._tri[0], self._tri[1], shifts[todo], tol)
+            out[todo] = neg
+            todo = todo[aborted]
+        elif self._eigs is None:
+            for done, k in enumerate(todo):
+                neg = self._negcount(float(shifts[k]), tol)
+                if neg is None:
+                    todo = todo[done:]
+                    break
+                out[k] = neg
+            else:
+                todo = todo[:0]
+        if len(todo):
+            out[todo] = _counts_from_eigs(self.eigs(), energies[todo], inclusive)
         return out
 
 

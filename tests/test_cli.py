@@ -6,6 +6,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perclab
 from perclab import cli
 from perclab.cli import SUBCOMMANDS, run
 from perclab.errors import InternalCheckError
@@ -65,6 +69,10 @@ BAD_ARGS = {
                                 "--kernel", '{"offsets": [[[], 1]]}'],
     "catalog_kernel_of_other_dimension": ["catalog", "--maxsize", "2", "--kernel",
                                           '{"offsets": [[[1, 0], 1], [[-1, 0], 1]]}'],
+    # a box in dim dimensions holds at least 3**dim sites, so dim stops at 14
+    "dim_zero": ["ids", "--L", "4", "--p", "0.5", "--dim", "0"],
+    "dim_beyond_box_guard": ["ids", "--L", "4", "--p", "0.5", "--dim", "15"],
+    "dim_huge": ["catalog", "--maxsize", "2", "--dim", "100000"],
     "grid_too_many_steps": ["ids", "--L", "4", "--p", "0.5", "--grid", "0:1:100000000000"],
     "grid_infinite_bound": ["ids", "--L", "4", "--p", "0.5", "--grid", "0:inf:5"],
     "catalog_atom_inf": ["catalog", "--maxsize", "2", "--atoms", "inf"],
@@ -257,8 +265,6 @@ def test_mirror_cli(tmp_path):
 
 
 def test_console_entry_point():
-    import subprocess
-    import sys
     proc = subprocess.run([sys.executable, "-m", "perclab.cli", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
@@ -268,7 +274,10 @@ def test_console_entry_point():
 # sha256 of CSVs written by the code as it was before the jumps and Wegner
 # drivers took all their energies and intervals in one pass over realizations
 # (jumps, wegner, continuity), and before the projector estimator solved one
-# block per class (projector_*; the d=2 box has blocks straddling the interior)
+# block per class (projector_*; the d=2 box has blocks straddling the interior).
+# The projector estimator sums eigh eigenvectors, whose last bits depend on
+# the number of BLAS threads, so every case runs in a fresh interpreter with
+# OPENBLAS_NUM_THREADS=1, and the projector digests were recorded that way.
 GOLDEN = {
     "jumps": (["jumps", "--dim", "2", "--L", "6", "--p", "0.7", "--E", "0", "--E", "1/2",
                "--E", "1", "--windows", "1e-2,1e-4,1e-6", "--realizations", "12",
@@ -289,14 +298,19 @@ GOLDEN = {
                      "03093f68ef10a1c26c1ee4c3d5f24c73b8822c0c993d8fdd52cc76420e8bbf84"),
     "projector_d2": (["ids", "--dim", "2", "--L", "12", "--p", "0.7",
                       "--estimator", "projector_diag", "--realizations", "3"],
-                     "d0820d9124be84ea8023c39b005b734f3444ac967440450fbec9d166bfff4d37"),
+                     "98a6bda066e2264ee0b3e3f267f0a5f26e4dfec3a4e3422bcdb6136f9c1acf92"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_csv_bytes_match_golden_digest(command, tmp_path):
     argv, digest = GOLDEN[command]
-    assert run(argv + ["--out", str(tmp_path)]) == 0
+    src = os.path.dirname(os.path.dirname(perclab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "perclab.cli", *argv, "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(_read(tmp_path / f"{argv[0]}.csv")).hexdigest() == digest
 
 

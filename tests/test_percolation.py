@@ -264,6 +264,12 @@ def test_catalog_classes_are_canonical_and_connected():
 def test_enumeration_guard(monkeypatch):
     import perclab.percolation as perc
     monkeypatch.setattr(perc, "SUBGRAPH_GUARD", 100)
+    tried, canonical = [], perc._canonical
+    monkeypatch.setattr(perc, "_canonical", lambda sites: tried.append(1) or canonical(sites))
     with pytest.raises(ResourceGuardError) as err:
         enumerate_connected_subgraphs(adjacency_kernel(2), 6)
-    assert err.value.reached > 100
+    # the guard predicts before growing: 1 + 2 + 6 + 19 classes so far, and
+    # the 19 classes of size 4 would try up to 19 * 4 * 4 sets
+    assert err.value.reached == 28 + 19 * 4 * 4
+    assert len(tried) <= 100  # growing size 4 to 5 would have tried up to 304 more
+    assert enumerate_connected_subgraphs(adjacency_kernel(2), 4).counts() == [1, 2, 6, 19]

@@ -65,7 +65,9 @@ def test_count_below_4_cycle():
 
 
 def test_count_matches_dense_on_random_percolation_ensemble():
-    # the full-scale ensemble: 100 Hamiltonians at L=12, 20 random shifts each
+    # the full-scale ensemble: 100 Hamiltonians at L=12, 20 random shifts each,
+    # all counted by one engine per matrix; count_below, which builds an engine
+    # of its own, checks the first shift
     k = adjacency_kernel(2)
     d = bernoulli_distribution(0.6)
     reg = LatticeRegion.box(2, 12, 2)
@@ -77,9 +79,10 @@ def test_count_matches_dense_on_random_percolation_ensemble():
             continue
         w = np.sort(np.concatenate([np.linalg.eigvalsh(m.submatrix(b).to_dense())
                                     for b in m.blocks()]))
-        for e in rng.uniform(-4.2, 4.2, 20):
-            expect = int((w < e - 1e-9).sum())
-            assert count_below(m, float(e)) == expect
+        shifts = rng.uniform(-4.2, 4.2, 20)
+        expect = [int((w < e - 1e-9).sum()) for e in shifts]
+        assert BlockSpectra(m).counts_below(shifts).tolist() == expect
+        assert count_below(m, float(shifts[0])) == expect[0]
 
 
 def test_count_below_at_exact_eigenvalue_uses_fallback():
@@ -167,6 +170,101 @@ def test_every_counting_route_returns_the_dense_snap_count(name, data):
     j = data.draw(st.integers(0, len(SNAP_OFFSETS) - 1), label="offset")
     assert count_below(m, energies[j]) == strict[j]
     assert count_below(m, energies[j], inclusive=True) == inclusive[j]
+
+
+# Large blocks on the sparse LU route: the first factorization of a block
+# chooses its fill-reducing order, every later shift is written into the
+# diagonal in place and factored in that order; shifts beyond the norm bound
+# and blocks that have fallen back to their dense spectrum factor nothing.
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    import perclab.spectra as spectra
+    calls, splu = [], spectra.spla.splu
+
+    def recording(a, permc_spec=None, **kwargs):
+        calls.append(permc_spec)
+        return splu(a, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spectra.spla, "splu", recording)
+    return calls
+
+
+def _four_free_boxes():
+    """The 95 x 95 box with its middle row and column closed: four 47 x 47 blocks."""
+    reg = LatticeRegion.box(2, 47, 1)
+    core = reg.sites[reg.core_indices]
+    vals = np.full(len(reg), INF)
+    vals[reg.core_indices[(core != 0).all(axis=1)]] = 0.0
+    return assemble(Configuration(reg, vals), adjacency_kernel(2)), np.repeat(_free_box(2, 23)[1], 4)
+
+
+def test_large_blocks_are_ordered_once_and_refactored_in_place(splu_calls):
+    m, w = _four_free_boxes()
+    engine = BlockSpectra(m)
+    assert [lb.sub.dim for lb in engine.large] == [2209] * 4
+    grid = np.linspace(-4.25, 4.25, 18)  # the ends lie beyond the norm bound 4,
+    inside = int((np.abs(grid) < m.norm_bound).sum())  # where nothing is factored
+    assert engine.counts_below(grid).tolist() == \
+        np.searchsorted(w, grid - CLUSTER_TOL, side="left").tolist()
+    assert splu_calls == (["MMD_AT_PLUS_A"] + ["NATURAL"] * (inside - 1)) * 4
+    splu_calls.clear()
+    assert engine.counts_below(grid, inclusive=True).tolist() == \
+        np.searchsorted(w, grid + CLUSTER_TOL, side="right").tolist()
+    assert splu_calls == ["NATURAL"] * inside * 4
+    for lb in engine.large:  # one slot per diagonal entry, though every entry is 0
+        a, slots, _ = lb._csc
+        assert len(slots) == lb.sub.dim
+        assert np.array_equal(a.indices[slots], np.arange(lb.sub.dim))
+
+
+@pytest.mark.parametrize("name", ["box_47x47", "chain_3001"])
+def test_counts_at_and_beyond_the_norm_bound_match_the_dense_snap(name):
+    m, w, _ = _count_case(name)
+    b = m.norm_bound
+    edges = np.array([-4, -2, -1, 0, 1, 2, 4]) * CLUSTER_TOL
+    energies = np.concatenate([-b + edges, [-b - 1e-6, b + 1e-6], b + edges])
+    engine = BlockSpectra(m)  # fresh: nothing factored or diagonalized yet
+    assert engine.counts_below(energies).tolist() == \
+        np.searchsorted(w, energies - CLUSTER_TOL, side="left").tolist()
+    assert engine.counts_below(energies, inclusive=True).tolist() == \
+        np.searchsorted(w, energies + CLUSTER_TOL, side="right").tolist()
+
+
+def test_large_block_with_a_varied_diagonal_matches_the_dense_snap(splu_calls):
+    # potentials 0 and 1 on a 47 x 47 box: the diagonal must follow the rows
+    # into the factor order
+    law = PotentialDistribution(atoms=((0.0, 0.5), (1.0, 0.5)))
+    m = assemble(sample_configuration(law, LatticeRegion.box(2, 23, 1), 3, 0), adjacency_kernel(2))
+    w = np.linalg.eigvalsh(m.to_dense())
+    grid = np.linspace(-4.3, 5.3, 25)
+    engine = BlockSpectra(m)
+    assert engine.counts_below(grid).tolist() == \
+        np.searchsorted(w, grid - CLUSTER_TOL, side="left").tolist()
+    assert engine.counts_below(grid, inclusive=True).tolist() == \
+        np.searchsorted(w, grid + CLUSTER_TOL, side="right").tolist()
+    assert splu_calls.count("MMD_AT_PLUS_A") == 1 and len(splu_calls) > 40
+
+
+def test_zero_diagonal_block_keeps_its_slots_when_the_shift_zeroes_them(splu_calls):
+    # the free box has an all-zero diagonal; at E = tau the shift is exactly 0,
+    # so every slot holds an explicit 0, the bipartite block is singular and the
+    # count falls back to the dense spectrum, which then answers every energy
+    m, _ = _free_box(2, 23)
+    w = np.linalg.eigvalsh(m.to_dense())
+    energies = np.array([-2.1, CLUSTER_TOL, 0.7, 1.9])
+    assert energies[1] - CLUSTER_TOL == 0.0
+    engine = BlockSpectra(m)
+    expect = np.searchsorted(w, energies - CLUSTER_TOL, side="left").tolist()
+    assert engine.counts_below(energies).tolist() == expect
+    assert splu_calls == ["MMD_AT_PLUS_A", "NATURAL"]
+    a, slots, _ = engine.large[0]._csc
+    assert len(slots) == m.dim and not a.data[slots].any()
+    assert engine.counts_below(energies).tolist() == expect
+    assert engine.count_in_closed(-0.5, 0.5) == int(((w >= -0.5 - CLUSTER_TOL) &
+                                                     (w <= 0.5 + CLUSTER_TOL)).sum())
+    assert splu_calls == ["MMD_AT_PLUS_A", "NATURAL"]
 
 
 # Identical blocks are grouped into classes and solved once.  Every count and
