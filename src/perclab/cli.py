@@ -65,6 +65,13 @@ def dimension(text: str) -> int:
     return dim
 
 
+def nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
+    return value
+
+
 def interval(text: str) -> tuple:
     lo, hi = text.split(":")
     return float(lo), float(hi)
@@ -205,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--E", type=rational, action="append", required=True)
     p.add_argument("--windows", type=floats, default=None,
                    help="comma list; default derives the finest window from the catalog gap")
-    p.add_argument("--catalog-maxsize", type=int, default=DEFAULTS.catalog_max_size,
+    p.add_argument("--catalog-maxsize", type=nonnegative, default=DEFAULTS.catalog_max_size,
                    help="0 disables catalog matching")
 
     p = sub.add_parser("gn", help="finite-cluster density profile G(n)")

@@ -9,6 +9,7 @@ density estimators classify them as not-finite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -160,13 +161,37 @@ class SubgraphCatalog:
 
     def to_json(self) -> str:
         import json
-        return json.dumps([[list(s) for s in cls] for cls in self.all_classes()])
+        return json.dumps(list(self.all_classes()))  # tuples print as JSON arrays
 
 
-def _canonical(sites) -> tuple:
-    ordered = sorted(sites)
-    base = ordered[0]
-    return tuple(tuple(x - b for x, b in zip(s, base)) for s in ordered)
+def _canonical_plus(cls: tuple, t: int) -> tuple:
+    """The class of the packed sites cls (sorted, smallest 0) plus the site t:
+    the sorted tuple minus its smallest element."""
+    if t > 0:
+        return tuple(sorted(cls + (t,)))
+    return (0,) + tuple([x - t for x in cls])
+
+
+def _decoder(dim: int, base: int):
+    """Site tuples of packed sites, each decoded once and then shared."""
+    half = base // 2
+
+    def decode(code: int) -> tuple:
+        digits = []
+        for _ in range(dim):
+            r = (code + half) % base - half
+            digits.append(r)
+            code = (code - r) // base
+        return tuple(reversed(digits))
+
+    sites = {}
+
+    def decode_level(level) -> tuple:
+        for code in set().union(*level).difference(sites):
+            sites[code] = decode(code)
+        return tuple(tuple(map(sites.__getitem__, cls)) for cls in level)
+
+    return decode_level
 
 
 def enumerate_connected_subgraphs(kernel: HoppingKernel, max_size: int) -> SubgraphCatalog:
@@ -177,13 +202,21 @@ def enumerate_connected_subgraphs(kernel: HoppingKernel, max_size: int) -> Subgr
     is exhaustive.  Growing a level of classes of size s tries at most
     len(level) * s * len(moves) sets, so the guard trips on that bound before
     the level is grown, not after it has been stored.
+
+    A site x is packed into the one integer sum_i x_i * base**(dim-1-i) with
+    balanced digits |x_i| <= max_size * hop_range < base / 2.  No coordinate
+    of a class or of a grown set leaves that range, so packing keeps the
+    lexicographic order and turns translation into integer addition.  A level
+    is decoded to site tuples once the next one has grown.
     """
     if max_size < 1:
         raise PreconditionError("max_size must be >= 1")
-    moves = [v for v, _ in kernel.offsets if any(v)]
-    origin = (0,) * kernel.dim
-    current = {(origin,)}
-    levels = [tuple(sorted(current))]
+    base = 2 * max_size * kernel.hop_range + 1
+    moves = [functools.reduce(lambda code, x: code * base + x, v, 0)
+             for v, _ in kernel.offsets if any(v)]
+    decode_level = _decoder(kernel.dim, base)
+    current = [(0,)]
+    levels = []
     visited = 1
     for size in range(1, max_size):
         bound = visited + len(current) * size * len(moves)
@@ -192,16 +225,10 @@ def enumerate_connected_subgraphs(kernel: HoppingKernel, max_size: int) -> Subgr
                 f"subgraph enumeration would exceed guard ({SUBGRAPH_GUARD})", reached=bound)
         grown = set()
         for cls in current:
-            members = set(cls)
-            for s in cls:
-                for v in moves:
-                    t = tuple(a + b for a, b in zip(s, v))
-                    if t in members:
-                        continue
-                    cand = _canonical(cls + (t,))
-                    if cand not in grown:
-                        grown.add(cand)
-                        visited += 1
-        current = grown
-        levels.append(tuple(sorted(current)))
+            for t in {s + v for s in cls for v in moves}.difference(cls):
+                grown.add(_canonical_plus(cls, t))
+        visited += len(grown)
+        levels.append(decode_level(current))
+        current = sorted(grown)
+    levels.append(decode_level(current))
     return SubgraphCatalog(kernel, max_size, tuple(levels))

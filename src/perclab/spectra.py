@@ -17,17 +17,23 @@ polynomials for the log-Holder machinery.
 A realization has many cluster blocks but few distinct ones, so BlockSpectra
 groups identical blocks and solves one representative per class, weighting
 it by the class size.  No block result is cached across calls or realizations.
+
+The finite-cluster catalog builds the hopping matrices of all subgraph
+classes of one size at once from their pair offsets and diagonalizes them in
+stacks of bounded size; candidate energies are clustered and deduplicated
+with array sorts.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from numbers import Rational
 from typing import Optional
 
@@ -48,6 +54,7 @@ DENSE_BLOCK_MAX = 2048    # counting engine: full spectra up to this size
 CHARPOLY_GUARD = 64
 EXACT_DIM_GUARD = 4096
 ASSIGNMENT_GUARD = 10 ** 6
+_CATALOG_STACK = 1 << 16  # matrix entries per batched eigvalsh in the catalog
 
 
 # ---------------------------------------------------------------------------
@@ -760,13 +767,49 @@ class FiniteSpectrumCatalog:
         return rows
 
 
+def _class_adjacency(classes, kernel: HoppingKernel) -> np.ndarray:
+    """Hopping matrices of equal-size site classes, stacked; zero diagonal."""
+    k, size = len(classes), len(classes[0])
+    sites = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(classes)),
+                        dtype=np.int64, count=k * size * kernel.dim).reshape(k, size, kernel.dim)
+    i, j = np.triu_indices(size, 1)
+    steps = sites[:, j] - sites[:, i]
+    hops = np.zeros(steps.shape[:2])
+    for v, c in kernel.offsets:
+        if any(v):
+            hops[(steps == v).all(axis=2)] = c
+    out = np.zeros((k, size, size))
+    out[:, i, j] = out[:, j, i] = hops
+    return out
+
+
+def _group_heads(w: np.ndarray) -> np.ndarray:
+    """Per row of ascending eigenvalues, where each group within CLUSTER_TOL
+    of its first value (the head) starts."""
+    heads = np.ones(w.shape, dtype=bool)
+    head = w[:, 0]
+    for j in range(1, w.shape[1]):
+        heads[:, j] = w[:, j] - head > CLUSTER_TOL
+        head = np.where(heads[:, j], w[:, j], head)
+    return heads
+
+
 def cluster_spectrum_catalog(catalog: SubgraphCatalog, atom_values=(0.0,)) -> FiniteSpectrumCatalog:
     """Union of spectra of all cataloged subgraphs over all atom assignments.
 
     Energies are deduplicated within 1e-9; each retained energy records the
     smallest subgraph that produces it and its multiplicity there.
+
+    Matrices are numbered by (size, class, assignment), the assignments in
+    itertools.product order of the atom values, each value counted once.
+    Within a matrix, eigenvalues within CLUSTER_TOL of a group head join its
+    group, which gives one candidate: the head and the group's size.  All
+    candidates, sorted by energy, are chained while consecutive energies lie
+    within CLUSTER_TOL; each chain keeps its candidate from the
+    lowest-numbered matrix, the lowest energy among that matrix's.  The
+    matrices are diagonalized in stacks of at most _CATALOG_STACK entries.
     """
-    atom_values = tuple(float(v) for v in atom_values)
+    atom_values = tuple(dict.fromkeys(float(v) for v in atom_values))
     if not atom_values or not all(map(math.isfinite, atom_values)):
         raise PreconditionError(f"need at least one atom value, all finite, got {atom_values}")
     total = sum(len(catalog.classes(s)) * len(atom_values) ** s
@@ -777,41 +820,41 @@ def cluster_spectrum_catalog(catalog: SubgraphCatalog, atom_values=(0.0,)) -> Fi
             reached=total,
         )
     kernel = catalog.kernel
-    candidates = []  # (energy, size, order, sites, multiplicity)
-    order = 0
+    atoms = np.array(atom_values)
+    shift = kernel.diagonal_shift()
+    firsts = []                   # number of each size's first matrix
+    energy, matrix, mult = [], [], []
+    numbered = 0
     for size in range(1, catalog.max_size + 1):
-        for sites in catalog.classes(size):
-            base = np.zeros((size, size))
-            for i in range(size):
-                for j in range(i + 1, size):
-                    v = tuple(b - a for a, b in zip(sites[i], sites[j]))
-                    c = kernel.coefficient(v)
-                    if c:
-                        base[i, j] = base[j, i] = c
-            shift = kernel.diagonal_shift()
-            for assignment in product(atom_values, repeat=size):
-                a = base.copy()
-                a[np.arange(size), np.arange(size)] = np.array(assignment) + shift
-                w = np.linalg.eigvalsh(a)
-                k = 0
-                while k < size:
-                    j = k
-                    while j + 1 < size and w[j + 1] - w[k] <= CLUSTER_TOL:
-                        j += 1
-                    candidates.append((float(w[k]), size, order, sites, j - k + 1))
-                    k = j + 1
-                order += 1
-
-    candidates.sort(key=lambda t: t[0])
+        classes = catalog.classes(size)
+        n_assign = len(atoms) ** size
+        firsts.append(numbered)
+        place = len(atoms) ** np.arange(size - 1, -1, -1)
+        diag = np.arange(size)
+        step = max(1, _CATALOG_STACK // size ** 2)
+        for lo in range(0, len(classes) * n_assign, step):
+            m = np.arange(lo, min(lo + step, len(classes) * n_assign))
+            cls, assignment = np.divmod(m, n_assign)
+            a = _class_adjacency(classes[cls[0]:cls[-1] + 1], kernel)[cls - cls[0]]
+            a[:, diag, diag] = atoms[assignment[:, None] // place % len(atoms)] + shift
+            w = np.linalg.eigvalsh(a)
+            heads = np.flatnonzero(_group_heads(w))
+            energy.append(w.ravel()[heads])
+            matrix.append(numbered + lo + heads // size)
+            mult.append(np.diff(heads, append=w.size))
+        numbered += len(classes) * n_assign
+    energy, matrix, mult = (np.concatenate(x) for x in (energy, matrix, mult))
+    by_energy = np.argsort(energy)
+    energy, matrix, mult = energy[by_energy], matrix[by_energy], mult[by_energy]
+    chain = np.concatenate(([0], np.cumsum(np.diff(energy) > CLUSTER_TOL)))
+    best = np.lexsort((matrix, chain))
+    best = best[np.flatnonzero(np.diff(chain[best], prepend=-1))]
     entries = []
-    i = 0
-    while i < len(candidates):
-        j = i
-        while j + 1 < len(candidates) and candidates[j + 1][0] - candidates[j][0] <= CLUSTER_TOL:
-            j += 1
-        best = min(candidates[i:j + 1], key=lambda t: (t[1], t[2]))
-        entries.append(CatalogEntry(best[0], best[3], best[1], best[4]))
-        i = j + 1
+    for e, number, count in zip(energy[best].tolist(), matrix[best].tolist(),
+                                mult[best].tolist()):
+        size = bisect.bisect_right(firsts, number)
+        sites = catalog.classes(size)[(number - firsts[size - 1]) // len(atoms) ** size]
+        entries.append(CatalogEntry(e, sites, size, count))
     return FiniteSpectrumCatalog(entries, catalog.max_size, atom_values)
 
 

@@ -44,6 +44,8 @@ BAD_ARGS = {
     "workers_negative": ["ids", "--L", "4", "--p", "0.5", "--workers", "-3"],
     "workers_zero": ["ids", "--L", "4", "--p", "0.5", "--workers", "0"],
     "energy_zero_denominator": ["jumps", "--L", "4", "--p", "0.5", "--E", "1/0"],
+    "catalog_maxsize_negative": ["jumps", "--L", "4", "--p", "0.5", "--E", "0",
+                                 "--catalog-maxsize", "-2"],
     "minpoly_not_integer": ["loghoelder", "--L", "4", "--p", "0.5", "--minpoly", "1.5,1"],
     "dist_atom_not_a_number": ["ids", "--L", "4", "--dist", '{"atoms": [[0, "x"]]}'],
     "dist_atom_without_weight": ["ids", "--L", "4", "--dist", '{"atoms": [[0]]}'],
@@ -299,19 +301,80 @@ GOLDEN = {
     "projector_d2": (["ids", "--dim", "2", "--L", "12", "--p", "0.7",
                       "--estimator", "projector_diag", "--realizations", "3"],
                      "98a6bda066e2264ee0b3e3f267f0a5f26e4dfec3a4e3422bcdb6136f9c1acf92"),
+    # the default d=2 catalog (maxsize 8) on perfbench's d2_exact argv, recorded
+    # before the catalog was grown as packed integers and diagonalized in stacks
+    "jumps_default_catalog": (["jumps", "--dim", "2", "--L", "8", "--p", "0.8", "--E", "-2",
+                               "--E", "-1", "--E", "0", "--E", "1", "--E", "2",
+                               "--windows", "1e-6", "--realizations", "3", "--seed", "9"],
+                              "1dd0569edfd88c754043b2ecdc0280885da6b24c5d06ad04206ccdee9bc2fe0f"),
 }
+
+ANISOTROPIC_RANGE_2 = json.dumps({"offsets": [
+    [[1, 0], 1], [[-1, 0], 1], [[0, 1], 0.5], [[0, -1], 0.5], [[2, 0], 0.25], [[-2, 0], 0.25],
+    [[1, 1], -0.75], [[-1, -1], -0.75], [[0, 0], 0.125]]})
+
+# sha256 of catalog.csv and subgraphs.json written by the code as it was
+# before subgraphs were grown as packed integers and the catalog
+# diagonalized its matrices in stacks, recorded with OPENBLAS_NUM_THREADS=1.
+CATALOG_GOLDEN = {
+    "d2_maxsize_8": (["--dim", "2", "--maxsize", "8"],
+                     "11bad41e45c52caf23ee663c525516b3f7a8f0e49274078b8ca43e7792f70d55",
+                     "fbc0da2e4df2066ccacbbf453839d5399c182615f9b02cf7e4ba65b08707a6b0"),
+    "d1_maxsize_12_atoms_0_1": (["--dim", "1", "--maxsize", "12", "--atoms", "0,1"],
+                                "2b1002be76a0562f0dfeee868c78e9e67e365a5c597b0b5571709a34fc1eeef1",
+                                "b7b9e7c5fdd3c64f6b54d0fbb1c6f3c11ac14204e609024dbbcf5a64c83a6dfa"),
+    "d2_maxsize_6_atoms_0_1": (["--dim", "2", "--maxsize", "6", "--atoms", "0,1"],
+                               "44d86dfd92197a2dd1b9ce423171778ce39b0ec79989ac80760ec949e47a61a6",
+                               "5cdc399794813bf72e8f048a9f3b8add7a5fe3f81896d26aaa9b6edab79f8896"),
+    "d3_maxsize_6": (["--dim", "3", "--maxsize", "6"],
+                     "d8728a96f5e7bce8fc17458a9fe8950deb23eddbee174df7b43992c374c487c3",
+                     "8f6f6914b4e031230fa24ccd82a26f73b0c0e7d19c9d3dac8f14919cdb193311"),
+    "d2_maxsize_5_three_atoms": (["--dim", "2", "--maxsize", "5", "--atoms", "0,0.5,-1"],
+                                 "b1ca53d2ae9ccad15379fe03a9cf448dcbf02b9b982b4d42a82df578f8a991a2",
+                                 "f250fb88147882fa7d4a4852a5f96afb9282ba1950f0c0495098835c9c7150ad"),
+    "anisotropic_range_2": (["--dim", "2", "--maxsize", "5", "--kernel", ANISOTROPIC_RANGE_2],
+                            "4e69461dc797f3d40be1949a69f10e7ec63e64123bf11c6722a9b4980e563e5c",
+                            "b190b2fa5b41eaebd9a9895ef1414f6032ceeaca4deabe9c8f717e7ebd03076d"),
+}
+
+
+def _run_pinned(argv, out):
+    """Run the CLI in a fresh interpreter with one BLAS thread."""
+    src = os.path.dirname(os.path.dirname(perclab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "perclab.cli", *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _sha256(path):
+    return hashlib.sha256(_read(path)).hexdigest()
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_csv_bytes_match_golden_digest(command, tmp_path):
     argv, digest = GOLDEN[command]
-    src = os.path.dirname(os.path.dirname(perclab.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "perclab.cli", *argv, "--out", str(tmp_path)],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(_read(tmp_path / f"{argv[0]}.csv")).hexdigest() == digest
+    _run_pinned(argv, tmp_path)
+    assert _sha256(tmp_path / f"{argv[0]}.csv") == digest
+
+
+@pytest.mark.parametrize("case", sorted(CATALOG_GOLDEN))
+def test_catalog_bytes_match_golden_digest(case, tmp_path):
+    argv, catalog_digest, subgraphs_digest = CATALOG_GOLDEN[case]
+    _run_pinned(["catalog", *argv], tmp_path)
+    assert _sha256(tmp_path / "catalog.csv") == catalog_digest
+    assert _sha256(tmp_path / "subgraphs.json") == subgraphs_digest
+
+
+def test_repeated_atoms_give_the_catalog_of_the_distinct_ones(tmp_path, capsys):
+    # 191,991,972 assignments if every repeat counted; 3,792 distinct matrices
+    for name, atoms in (("once", "0"), ("repeated", "0,0,-0.0,0")):
+        assert run(["catalog", "--dim", "2", "--maxsize", "8", "--atoms", atoms,
+                    "--out", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("catalog.csv", "subgraphs.json"):
+        assert _read(tmp_path / "once" / name) == _read(tmp_path / "repeated" / name)
 
 
 @pytest.mark.parametrize("argv", [

@@ -264,8 +264,9 @@ def test_catalog_classes_are_canonical_and_connected():
 def test_enumeration_guard(monkeypatch):
     import perclab.percolation as perc
     monkeypatch.setattr(perc, "SUBGRAPH_GUARD", 100)
-    tried, canonical = [], perc._canonical
-    monkeypatch.setattr(perc, "_canonical", lambda sites: tried.append(1) or canonical(sites))
+    tried, canonical = [], perc._canonical_plus
+    monkeypatch.setattr(perc, "_canonical_plus",
+                        lambda cls, t: tried.append(1) or canonical(cls, t))
     with pytest.raises(ResourceGuardError) as err:
         enumerate_connected_subgraphs(adjacency_kernel(2), 6)
     # the guard predicts before growing: 1 + 2 + 6 + 19 classes so far, and

@@ -1,6 +1,7 @@
 """Spectral kernels: counting, exact arithmetic, catalogs, mirror states."""
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from perclab import (AlgebraicNumber, Configuration, LatticeRegion,
                      kernel_dim_exact, luck_bound, mirror_embed,
                      sample_configuration, validate_kernel)
 from perclab.errors import PreconditionError, ResourceGuardError
-from perclab.spectra import CLUSTER_TOL, DENSE_BLOCK_MAX, EXACT_DIM_GUARD, BlockSpectra
+from perclab.spectra import (CLUSTER_TOL, DENSE_BLOCK_MAX, EXACT_DIM_GUARD, BlockSpectra,
+                             _group_heads)
 
 INF = float("inf")
 
@@ -671,6 +673,117 @@ def test_catalog_min_gap_positive():
     cat = enumerate_connected_subgraphs(adjacency_kernel(2), 4)
     spec = cluster_spectrum_catalog(cat, (0.0,))
     assert spec.min_gap() > 1e-6
+
+
+def test_group_heads_cluster_relative_to_the_head():
+    # 1.2e-9 is within CLUSTER_TOL of its neighbour but not of the head 0
+    w = np.array([[0.0, 0.6e-9, 1.2e-9, 1.5e-9, 5.0], [1.0, 1.0, 1.0, 1.0, 1.0]])
+    assert _group_heads(w).tolist() == [[True, False, True, False, True],
+                                        [True, False, False, False, False]]
+
+
+def _oracle_subgraphs(kernel, max_size):
+    """Translation classes grown as tuples of site tuples, one set at a time."""
+    def canonical(sites):
+        ordered = sorted(sites)
+        return tuple(tuple(x - b for x, b in zip(s, ordered[0])) for s in ordered)
+
+    moves = [v for v, _ in kernel.offsets if any(v)]
+    current = {((0,) * kernel.dim,)}
+    levels = [tuple(sorted(current))]
+    for _ in range(1, max_size):
+        grown = set()
+        for cls in current:
+            for s in cls:
+                for v in moves:
+                    t = tuple(a + b for a, b in zip(s, v))
+                    if t not in cls:
+                        grown.add(canonical(cls + (t,)))
+        current = grown
+        levels.append(tuple(sorted(current)))
+    return tuple(levels)
+
+
+def _oracle_catalog(by_size, kernel, atom_values):
+    """Catalog entries built one matrix and one candidate at a time."""
+    candidates = []  # (energy, size, order, sites, multiplicity)
+    order = 0
+    for size, classes in enumerate(by_size, 1):
+        for sites in classes:
+            base = np.zeros((size, size))
+            for i in range(size):
+                for j in range(i + 1, size):
+                    c = kernel.coefficient(tuple(b - a for a, b in zip(sites[i], sites[j])))
+                    if c:
+                        base[i, j] = base[j, i] = c
+            for assignment in itertools.product(atom_values, repeat=size):
+                a = base.copy()
+                a[np.arange(size), np.arange(size)] = np.array(assignment) + kernel.diagonal_shift()
+                w = np.linalg.eigvalsh(a)
+                k = 0
+                while k < size:
+                    j = k
+                    while j + 1 < size and w[j + 1] - w[k] <= CLUSTER_TOL:
+                        j += 1
+                    candidates.append((float(w[k]), size, order, sites, j - k + 1))
+                    k = j + 1
+                order += 1
+    candidates.sort(key=lambda t: t[0])
+    entries = []
+    i = 0
+    while i < len(candidates):
+        j = i
+        while j + 1 < len(candidates) and candidates[j + 1][0] - candidates[j][0] <= CLUSTER_TOL:
+            j += 1
+        best = min(candidates[i:j + 1], key=lambda t: (t[1], t[2]))
+        entries.append((best[0].hex(), best[3], best[1], best[4]))
+        i = j + 1
+    return entries
+
+
+@st.composite
+def small_kernels(draw):
+    """Stencils of range <= 2 in d = 1..3, anisotropic, some with a diagonal."""
+    dim = draw(st.integers(1, 3))
+    half = [v for v in itertools.product(range(-2, 3), repeat=dim)
+            if v > (0,) * dim and sum(map(abs, v)) <= 2]
+    coefficient = st.sampled_from((1, 2, -1, 0.5, -0.75, 0.3))
+    offsets = []
+    for v in draw(st.lists(st.sampled_from(half), min_size=1, max_size=3, unique=True)):
+        c = draw(coefficient)
+        offsets += [(v, c), (tuple(-x for x in v), c)]
+    if draw(st.booleans()):
+        offsets.append(((0,) * dim, draw(coefficient)))
+    return validate_kernel(offsets)
+
+
+def _largest_size(kernel, max_size, cost):
+    """The largest size up to max_size whose catalog costs at most 4000 by
+    cost(size, number of classes), at least 1."""
+    size = 1
+    while size < max_size:
+        counts = enumerate_connected_subgraphs(kernel, size + 1).counts()
+        if sum(cost(s, n) for s, n in enumerate(counts, 1)) > 4000:
+            break
+        size += 1
+    return size
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kernel=small_kernels(), max_size=st.integers(4, 9),
+       atoms=st.lists(st.sampled_from((0.0, -0.0, 1.0, 0.5, -1.0, 2.5)), min_size=1, max_size=3))
+def test_catalog_matches_the_one_set_and_one_matrix_at_a_time_oracles(kernel, max_size, atoms):
+    size = _largest_size(kernel, max_size, lambda s, n: n)
+    assert enumerate_connected_subgraphs(kernel, size).by_size == _oracle_subgraphs(kernel, size)
+    # repeated atom values go to both: the oracle diagonalizes every repeat,
+    # the catalog each distinct value once, and both keep the same entries
+    size = _largest_size(kernel, size, lambda s, n: n * len(atoms) ** s)
+    shapes = enumerate_connected_subgraphs(kernel, size)
+    spec = cluster_spectrum_catalog(shapes, atoms)
+    got = [(e.energy.hex(), e.witness_sites, e.witness_size, e.multiplicity)
+           for e in spec.entries]
+    assert got == _oracle_catalog(shapes.by_size, kernel, atoms)
+    assert spec.atom_values == tuple(dict.fromkeys(atoms))
 
 
 # ---------------------------------------------------------------------------
