@@ -319,17 +319,13 @@ def cluster_density_profile(params: ExperimentParams, n_max: int) -> ClusterDens
     def one(i):
         config = sample_configuration(params.dist, region, params.seed, i)
         labeling = label_clusters(config, params.kernel)
-        core_labels = labeling.labels[:n_core]
-        act = core_labels >= 0
+        pos = labeling.core_clusters()
+        sizes = labeling.cluster_sizes[pos[~labeling.touches_outer[pos]]]
         profile = np.zeros(n_max)
-        if act.any():
-            pos = np.searchsorted(labeling.cluster_ids, core_labels[act])
-            fin = ~labeling.touches_outer[pos]
-            sizes = labeling.cluster_sizes[pos][fin]
-            if len(sizes):
-                hist = np.bincount(np.minimum(sizes, n_max + 1), minlength=n_max + 2)
-                suffix = np.cumsum(hist[::-1])[::-1]
-                profile = suffix[1:n_max + 1] / n_core
+        if len(sizes):
+            hist = np.bincount(np.minimum(sizes, n_max + 1), minlength=n_max + 2)
+            suffix = np.cumsum(hist[::-1])[::-1]
+            profile = suffix[1:n_max + 1] / n_core
         return profile, boundary_cluster_fraction(labeling)
 
     out = _map_realizations(one, params.realizations, params.workers)

@@ -303,6 +303,9 @@ class LatticeRegion:
     core) follow, also in lexicographic order.  The collar exists so that
     boundary-connectedness and outer-boundary conditions can be decided from
     sampled data alone.
+
+    shift_indices reads one index table over the bounding box, built on
+    first use; more than BOX_SITE_MAX cells are refused before allocation.
     """
 
     def __init__(self, dim, sites, n_core, shell, halfwidth=None, collar=0):
@@ -313,7 +316,7 @@ class LatticeRegion:
         self.halfwidth = halfwidth
         self.collar = collar
         self._index = None
-        self._codes = None
+        self._table = None
 
     @staticmethod
     def box(dim: int, halfwidth: int, collar: int = 0) -> "LatticeRegion":
@@ -376,34 +379,39 @@ class LatticeRegion:
         except KeyError:
             raise PreconditionError(f"site {tuple(site)} not in region") from None
 
-    def _code_table(self):
-        # collision-free linear codes over the region's bounding box
-        if self._codes is None:
-            mins = self.sites.min(axis=0)
-            extents = self.sites.max(axis=0) - mins + 1
+    def _lookup(self):
+        """(codes, strides, lo, hi, table): site i lies in cell codes[i] of the
+        bounding box [lo, hi]; table[cell] is its site's index, or -1."""
+        if self._table is None:
+            lo, hi = self.sites.min(axis=0), self.sites.max(axis=0)
+            cells = math.prod(int(b) - int(a) + 1 for a, b in zip(lo, hi))
+            if cells > BOX_SITE_MAX:
+                raise ResourceGuardError(
+                    f"bounding box of {cells} cells exceeds guard {BOX_SITE_MAX}", reached=cells)
             strides = np.ones(self.dim, dtype=np.int64)
             for k in range(self.dim - 2, -1, -1):
-                strides[k] = strides[k + 1] * extents[k + 1]
-            codes = (self.sites - mins) @ strides
-            order = np.argsort(codes, kind="stable")
-            self._codes = (codes, order, codes[order], strides, mins, extents)
-        return self._codes
+                strides[k] = strides[k + 1] * (hi[k + 1] - lo[k + 1] + 1)
+            codes = (self.sites - lo) @ strides
+            table = np.full(cells, -1, dtype=np.int64)
+            table[codes] = np.arange(len(self.sites))
+            self._table = (codes, strides, lo, hi, table)
+        return self._table
 
     def shift_indices(self, indices: np.ndarray, offset) -> np.ndarray:
         """Indices of sites[indices] + offset within the region, -1 if absent."""
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             return indices.copy()
-        codes, order, sorted_codes, strides, mins, extents = self._code_table()
+        codes, strides, lo, hi, table = self._lookup()
         v = np.asarray(offset, dtype=np.int64)
         target = codes[indices] + v @ strides
-        pos = np.searchsorted(sorted_codes, target)
-        pos = np.minimum(pos, len(sorted_codes) - 1)
-        cand = order[pos]
-        ok = sorted_codes[pos] == target
-        # linear codes can collide across bounding-box edges; verify coordinates
-        ok &= (self.sites[cand] == self.sites[indices] + v).all(axis=1)
-        return np.where(ok, cand, -1)
+        # codes wrap across the box's faces, so a target must stay inside the
+        # box along every axis the offset moves
+        inside = np.ones(len(indices), dtype=bool)
+        for k in np.flatnonzero(v):
+            x = self.sites[indices, k] + v[k]
+            inside &= (x >= lo[k]) & (x <= hi[k])
+        return np.where(inside, table[np.where(inside, target, 0)], -1)
 
 
 # ---------------------------------------------------------------------------

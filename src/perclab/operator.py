@@ -150,22 +150,18 @@ def assemble(config: Configuration, kernel: HoppingKernel,
         rows_region = rows_region[order]
     n = len(rows_region)
 
-    row_of = np.full(len(region), -1, dtype=np.int64)
+    row_of = np.full(len(region) + 1, -1, dtype=np.int64)  # last entry: shift_indices' -1
     row_of[rows_region] = np.arange(n)
 
     diag = config.values[rows_region] + kernel.diagonal_shift()
     pieces_i, pieces_j, pieces_v = [], [], []
     for v, c in kernel.half_offsets():
-        t = region.shift_indices(rows_region, v)
-        ok = t >= 0
-        ok[ok] = row_of[t[ok]] >= 0
-        i = row_of[rows_region[ok]]
-        j = row_of[t[ok]]
-        lo = np.minimum(i, j)
-        hi = np.maximum(i, j)
-        pieces_i.append(lo)
-        pieces_j.append(hi)
-        pieces_v.append(np.full(len(lo), c))
+        j = row_of[region.shift_indices(rows_region, v)]
+        i = np.flatnonzero(j >= 0)
+        j = j[i]
+        pieces_i.append(np.minimum(i, j))
+        pieces_j.append(np.maximum(i, j))
+        pieces_v.append(np.full(len(i), c))
     if pieces_i:
         off_i = np.concatenate(pieces_i)
         off_j = np.concatenate(pieces_j)

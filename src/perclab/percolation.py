@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .errors import PreconditionError, ResourceGuardError
+from .errors import InternalCheckError, PreconditionError, ResourceGuardError
 from .model import Configuration, HoppingKernel
 
 SUBGRAPH_GUARD = 10 ** 7
@@ -28,7 +28,9 @@ class ClusterLabeling:
     """Deterministic labeling of active sites over core + collar.
 
     labels[i] is the smallest region index in site i's cluster, or -1 for
-    inactive sites.  Sizes count active sites over the whole sampled window.
+    inactive sites, and positions[i] is that cluster's position in
+    cluster_ids, or -1.  Sizes count active sites over the whole sampled
+    window.
     """
 
     config: Configuration
@@ -37,14 +39,12 @@ class ClusterLabeling:
     cluster_ids: np.ndarray        # sorted unique labels
     cluster_sizes: np.ndarray      # aligned with cluster_ids
     touches_outer: np.ndarray      # aligned bool: cluster reaches the outer R-ring
+    positions: np.ndarray
 
-    def size_of(self, label: int) -> int:
-        k = np.searchsorted(self.cluster_ids, label)
-        return int(self.cluster_sizes[k])
-
-    def touches(self, label: int) -> bool:
-        k = np.searchsorted(self.cluster_ids, label)
-        return bool(self.touches_outer[k])
+    def core_clusters(self) -> np.ndarray:
+        """Cluster position of each active core site, in site order."""
+        pos = self.positions[: self.config.region.n_core]
+        return pos[pos >= 0]
 
 
 def label_clusters(config: Configuration, kernel: HoppingKernel) -> ClusterLabeling:
@@ -55,34 +55,37 @@ def label_clusters(config: Configuration, kernel: HoppingKernel) -> ClusterLabel
             f"collar {region.collar} < hopping range {kernel.hop_range}: "
             "boundary connectedness is undecidable"
         )
-    active = config.active
     n = len(region)
-    idx = np.flatnonzero(active)
-    heads, tails = [idx[:0]], [idx[:0]]  # a stencil may have no hops
-    for v, _ in kernel.half_offsets():
-        targets = region.shift_indices(idx, v)
-        ok = targets >= 0
-        ok[ok] = active[targets[ok]]
-        heads.append(idx[ok])
-        tails.append(targets[ok])
-    heads = np.concatenate(heads)
-    tails = np.concatenate(tails)
-    graph = sp.csr_matrix((np.ones(len(heads), dtype=np.int8), (heads, tails)), shape=(n, n))
-    _, component = csgraph.connected_components(graph, directed=False)
+    idx = np.flatnonzero(config.active)
+    # rank among the active sites, else -1; last entry: shift_indices' -1
+    rank = np.full(n + 1, -1, dtype=np.int64)
+    rank[idx] = np.arange(len(idx))
+    # row per active site, column per half offset (at least one): neighbour ranks
+    half = kernel.half_offsets()
+    width = max(len(half), 1)
+    nbr = np.full((len(idx), width), -1, dtype=np.int64)
+    for j, (v, _) in enumerate(half):
+        nbr[:, j] = rank[region.shift_indices(idx, v)]
+    ok = nbr >= 0
+    indptr = np.concatenate(([0], np.cumsum(ok.ravel())[width - 1::width]))
+    graph = sp.csr_matrix((np.ones(indptr[-1]), nbr[ok], indptr), shape=(len(idx),) * 2)
+    count, component = csgraph.connected_components(graph, directed=False)
 
-    # deterministic ids: smallest member index per cluster
-    component = component[idx]
-    smallest = np.full(n, n, dtype=np.int64)
-    np.minimum.at(smallest, component, idx)
+    # csgraph numbers components in the order its search from node 0 up meets
+    # them, so a number first appears at its cluster's smallest member
+    firsts = np.flatnonzero(np.diff(np.maximum.accumulate(component), prepend=-1))
+    if len(firsts) != count:
+        raise InternalCheckError("connected components not numbered by smallest member")
+    ids = idx[firsts]
+    positions = np.full(n, -1, dtype=np.int64)
+    positions[idx] = component
     labels = np.full(n, -1, dtype=np.int64)
-    labels[idx] = smallest[component]
-
-    ids, counts = np.unique(labels[idx], return_counts=True)
-    ring = idx[(region.shell[idx] >= 1) & (region.shell[idx] <= kernel.hop_range)]
-    touching = np.zeros(len(ids), dtype=bool)
-    if len(ring):
-        touching[np.searchsorted(ids, np.unique(labels[ring]))] = True
-    return ClusterLabeling(config, kernel.hop_range, labels, ids, counts, touching)
+    labels[idx] = ids[component]
+    shell = region.shell[idx]
+    touching = np.zeros(count, dtype=bool)
+    touching[component[(shell >= 1) & (shell <= kernel.hop_range)]] = True
+    return ClusterLabeling(config, kernel.hop_range, labels, ids,
+                           np.bincount(component, minlength=count), touching, positions)
 
 
 def connected_region(config: Configuration, kernel: HoppingKernel,
@@ -94,11 +97,8 @@ def connected_region(config: Configuration, kernel: HoppingKernel,
     """
     if labeling is None:
         labeling = label_clusters(config, kernel)
-    region = config.region
-    core_labels = labeling.labels[: region.n_core]
-    touch_ids = labeling.cluster_ids[labeling.touches_outer]
-    mask = (core_labels >= 0) & np.isin(core_labels, touch_ids)
-    return np.flatnonzero(mask)
+    pos = labeling.positions[: config.region.n_core]
+    return np.flatnonzero(np.append(labeling.touches_outer, False)[pos])
 
 
 def finite_cluster_fraction(labeling: ClusterLabeling, n: int) -> float:
@@ -111,25 +111,15 @@ def finite_cluster_fraction(labeling: ClusterLabeling, n: int) -> float:
     """
     if n < 1:
         raise PreconditionError("n must be a positive integer")
-    region = labeling.config.region
-    core_labels = labeling.labels[: region.n_core]
-    act = core_labels >= 0
-    if not act.any():
-        return 0.0
-    pos = np.searchsorted(labeling.cluster_ids, core_labels[act])
+    pos = labeling.core_clusters()
     good = (~labeling.touches_outer[pos]) & (labeling.cluster_sizes[pos] >= n)
-    return float(good.sum()) / region.n_core
+    return float(good.sum()) / labeling.config.region.n_core
 
 
 def boundary_cluster_fraction(labeling: ClusterLabeling) -> float:
     """Fraction of core sites in clusters that reach the outer ring."""
-    region = labeling.config.region
-    core_labels = labeling.labels[: region.n_core]
-    act = core_labels >= 0
-    if not act.any():
-        return 0.0
-    pos = np.searchsorted(labeling.cluster_ids, core_labels[act])
-    return float(labeling.touches_outer[pos].sum()) / region.n_core
+    pos = labeling.core_clusters()
+    return float(labeling.touches_outer[pos].sum()) / labeling.config.region.n_core
 
 
 # ---------------------------------------------------------------------------

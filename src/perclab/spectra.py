@@ -54,6 +54,7 @@ DENSE_BLOCK_MAX = 2048    # counting engine: full spectra up to this size
 CHARPOLY_GUARD = 64
 EXACT_DIM_GUARD = 4096
 ASSIGNMENT_GUARD = 10 ** 6
+WITNESS_SITE_GUARD = 10 ** 8  # most witness sites a catalog's entries may list
 _CATALOG_STACK = 1 << 16  # matrix entries per batched eigvalsh in the catalog
 
 
@@ -760,10 +761,13 @@ class FiniteSpectrumCatalog:
 
     def to_csv_rows(self):
         rows = [("energy", "multiplicity", "witness_size", "witness_sites")]
+        text = {}  # entries share their class's witness tuple: format it once
         for ent in self.entries:
-            sites = ";".join(" ".join(str(x) for x in s) for s in ent.witness_sites)
+            key = id(ent.witness_sites)
+            if key not in text:
+                text[key] = ";".join(" ".join(str(x) for x in s) for s in ent.witness_sites)
             rows.append((f"{ent.energy:.17g}", str(ent.multiplicity),
-                         str(ent.witness_size), sites))
+                         str(ent.witness_size), text[key]))
         return rows
 
 
@@ -812,13 +816,19 @@ def cluster_spectrum_catalog(catalog: SubgraphCatalog, atom_values=(0.0,)) -> Fi
     atom_values = tuple(dict.fromkeys(float(v) for v in atom_values))
     if not atom_values or not all(map(math.isfinite, atom_values)):
         raise PreconditionError(f"need at least one atom value, all finite, got {atom_values}")
-    total = sum(len(catalog.classes(s)) * len(atom_values) ** s
-                for s in range(1, catalog.max_size + 1))
+    sizes = range(1, catalog.max_size + 1)
+    matrices = [len(catalog.classes(s)) * len(atom_values) ** s for s in sizes]
+    total = sum(matrices)
     if total > ASSIGNMENT_GUARD:
         raise ResourceGuardError(
             f"{total} subgraph/potential assignments exceed guard {ASSIGNMENT_GUARD}",
             reached=total,
         )
+    # each eigenvalue of a size-s matrix may become an entry listing s sites
+    listed = sum(m * s * s for m, s in zip(matrices, sizes))
+    if listed > WITNESS_SITE_GUARD:
+        raise ResourceGuardError(f"catalog entries could list {listed} witness sites, "
+                                 f"beyond guard {WITNESS_SITE_GUARD}", reached=listed)
     kernel = catalog.kernel
     atoms = np.array(atom_values)
     shift = kernel.diagonal_shift()

@@ -156,6 +156,19 @@ def test_resource_guard_exit_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: resource-guard:")
 
 
+def test_catalog_witness_site_guard_trips_before_diagonalizing(tmp_path, capsys, monkeypatch):
+    # d=1 has one chain per size s, whose s eigenvalues could each list s sites
+    def refuse(a):
+        raise AssertionError("diagonalized before the guard")
+
+    monkeypatch.setattr("numpy.linalg.eigvalsh", refuse)
+    code = run(["catalog", "--dim", "1", "--maxsize", "800", "--out", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: resource-guard:") and err.count("\n") == 1
+    assert f"{sum(s * s for s in range(1, 801))} witness sites" in err
+
+
 def test_internal_check_exit_5(tmp_path, capsys, monkeypatch):
     def breakdown(args, started):
         raise InternalCheckError("factorization breakdown on a block of dimension 9000")
@@ -307,6 +320,10 @@ GOLDEN = {
                                "--E", "-1", "--E", "0", "--E", "1", "--E", "2",
                                "--windows", "1e-6", "--realizations", "3", "--seed", "9"],
                               "1dd0569edfd88c754043b2ecdc0280885da6b24c5d06ad04206ccdee9bc2fe0f"),
+    # recorded before neighbour lookup read an index table and clusters
+    # were numbered from csgraph's component order
+    "gn": (["gn", "--dim", "2", "--L", "40", "--p", "0.59", "--nmax", "10", "--realizations", "4"],
+           "00bb956e11c039438ff3e16de542f53442c10cb4ac0cbd9e5a79436b33d6eead"),
 }
 
 ANISOTROPIC_RANGE_2 = json.dumps({"offsets": [

@@ -1,6 +1,7 @@
 """Monte Carlo drivers: estimators, bounds, hypothesis checks."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from perclab import (ExperimentParams, PotentialDistribution, adjacency_kernel,
                      continuity_probe, convergence_study, estimate_ids,
                      ids_jump, log_hoelder_check, wegner_experiment)
 from perclab.errors import HypothesisViolationError, PreconditionError
-from perclab.experiments import _realization
+from perclab.experiments import _box_region, _realization
 from perclab.spectra import AlgebraicNumber
 
 K1 = adjacency_kernel(1)
@@ -115,6 +116,25 @@ def test_workers_bit_identical():
     assert np.array_equal(a.jumps, b.jumps) and np.array_equal(a.jump_stderrs, b.jump_stderrs)
     assert a.exact_jump is not None
     assert (a.exact_jump, a.exact_stderr) == (b.exact_jump, b.exact_stderr)
+
+    # G(n): four threads, switching often, first meet a fresh cached region
+    # and build its lookup table between them; one thread then reuses it
+    _box_region.cache_clear()
+    pg = bernoulli_params(2, 0.59, 12, m=8, seed=5)
+    pg.workers = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        b = cluster_density_profile(pg, 10)
+    finally:
+        sys.setswitchinterval(interval)
+    region = pg.region()
+    pg.workers = 1
+    a = cluster_density_profile(pg, 10)
+    assert pg.region() is region
+    for x, y in ((a.g_mean, b.g_mean), (a.g_stderr, b.g_stderr)):
+        assert np.array_equal(x, y)
+    assert (a.g_infinity_proxy, a.g_infinity_stderr) == (b.g_infinity_proxy, b.g_infinity_stderr)
 
 
 def test_workers_validated_and_pool_capped_at_realizations(monkeypatch):

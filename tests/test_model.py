@@ -1,13 +1,18 @@
 """Geometry, kernels, potential laws, sampling."""
 
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perclab import (LatticeRegion, PotentialDistribution,
                      adjacency_kernel, bernoulli_distribution, boundary,
+                     enumerate_connected_subgraphs,
                      sample_configuration, validate_kernel)
 from perclab.errors import PreconditionError, ResourceGuardError
 from perclab.model import BOX_SITE_MAX
@@ -97,6 +102,66 @@ def test_box_site_guard_trips_before_allocating():
         with pytest.raises(ResourceGuardError) as info:
             LatticeRegion.box(dim, halfwidth, collar)
         assert info.value.reached == (2 * (halfwidth + collar) + 1) ** dim
+
+
+@st.composite
+def shift_cases(draw):
+    """(region, indices, offset): boxes, translated polyominoes with a
+    collar, and full rectangular grids like mirror_embed's."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("box", "polyomino", "grid")))
+    if kind == "box":
+        region = LatticeRegion.box(dim, draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+    elif kind == "polyomino":
+        size = draw(st.integers(1, 4))
+        cls = draw(st.sampled_from(enumerate_connected_subgraphs(adjacency_kernel(dim), size)
+                                   .classes(size)))
+        at = draw(st.tuples(*[st.integers(-5, 5)] * dim))
+        region = LatticeRegion.explicit([tuple(a + x for a, x in zip(at, s)) for s in cls],
+                                        collar=draw(st.integers(0, 2)))
+    else:
+        spans = [range(lo, lo + n) for lo, n in draw(st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(1, 4)), min_size=dim, max_size=dim))]
+        region = LatticeRegion.explicit(itertools.product(*spans))
+    extent = int((region.sites.max(axis=0) - region.sites.min(axis=0)).max()) + 1
+    step = st.sampled_from((0, 1, -1, 2, -2, extent - 1, extent, -extent, extent + 3))
+    unit = (1,) + (0,) * (dim - 1)
+    stencil = [v for v in ((0,) * dim, unit, (2,) + unit[1:], (1,) * dim, (1, -1) + unit[2:])
+               if len(v) == dim]
+    offset = draw(st.sampled_from(stencil) | st.tuples(*[step] * dim))
+    indices = draw(st.lists(st.integers(0, len(region) - 1), max_size=12))
+    return region, indices, offset
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shift_cases())
+def test_shift_indices_matches_the_site_dict(case):
+    # codes of neighbouring rows differ by one stride, so an offset that
+    # leaves the bounding box through one face lands on a code inside it
+    region, indices, offset = case
+    index = region.site_index()
+    expect = [index.get(tuple(x + v for x, v in zip(region.sites[i].tolist(), offset)), -1)
+              for i in indices]
+    got = region.shift_indices(np.array(indices, dtype=np.int64), offset)
+    assert got.dtype == np.int64 and got.tolist() == expect
+
+
+def test_region_lookup_guard_trips_before_allocating():
+    # explicit regions take any sites, so their bounding box can be far
+    # larger than the sites themselves
+    for sites in ([(0, 0), (BOX_SITE_MAX, 0)], [(0, 0, 0), (10 ** 7, 10 ** 7, 10 ** 7)],
+                  [(-2 ** 62,), (2 ** 62,)]):
+        region = LatticeRegion.explicit(sites)
+        cells = math.prod(b - a + 1 for a, b in zip(*sites))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardError) as info:
+                region.shift_indices(np.array([0, 1]), (1,) + (0,) * (len(sites[0]) - 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.reached == cells > BOX_SITE_MAX
+        assert peak < 10 ** 6
 
 
 def test_boundary_interval_inner_outer():

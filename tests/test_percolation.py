@@ -198,6 +198,8 @@ def test_label_clusters_matches_bfs_oracle(kernel, halfwidth, p):
         assert lab.cluster_ids.tolist() == ids
         assert lab.cluster_sizes.tolist() == sizes
         assert lab.touches_outer.tolist() == touches
+        position = {x: k for k, x in enumerate(ids)}
+        assert lab.positions.tolist() == [position.get(x, -1) for x in labels]
 
 
 # ---------------------------------------------------------------------------
