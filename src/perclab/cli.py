@@ -31,13 +31,11 @@ from .experiments import (DEFAULTS, ExperimentParams, cluster_density_profile,
                           wegner_experiment)
 from .model import (BOX_SITE_MAX, Configuration, HoppingKernel, LatticeRegion,
                     PotentialDistribution, adjacency_kernel,
-                    bernoulli_distribution)
+                    bernoulli_distribution, stencil_halo)
 from .operator import assemble
 from .percolation import enumerate_connected_subgraphs
 from .spectra import AlgebraicNumber, cluster_spectrum_catalog, eigs_dense, mirror_embed
 
-SUBCOMMANDS = ("ids", "jumps", "gn", "wegner", "loghoelder", "continuity",
-               "convergence", "catalog", "mirror")
 GRID_MAX_STEPS = 10 ** 6  # most points a --grid may ask for
 DIM_MAX = max(d for d in range(1, 64) if 3 ** d <= BOX_SITE_MAX)  # 14
 
@@ -197,7 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Bernoulli shorthand: atom 0 with weight p, rest closed")
         p.add_argument("--dist", type=str, default=None,
                        help="potential law as JSON text or a path to a JSON file")
-        p.add_argument("--grid", type=grid, default="-4.5:4.5:61")
+        p.add_argument("--grid", type=grid,
+                       default=f"{DEFAULTS.grid_lo}:{DEFAULTS.grid_hi}:{DEFAULTS.grid_steps}")
         p.add_argument("--realizations", type=int, default=DEFAULTS.realizations)
         p.add_argument("--restriction", choices=["box", "con"], default="box")
         p.add_argument("--workers", type=int, default=DEFAULTS.workers)
@@ -233,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="integer coefficients c0,c1,... of a monic polynomial")
     p.add_argument("--denom", type=int, default=1)
     p.add_argument("--approx", type=float, default=None)
-    p.add_argument("--eps", type=floats, default="1e-2,1e-4,1e-8")
+    p.add_argument("--eps", type=floats, default=DEFAULTS.eps)
 
     p = sub.add_parser("continuity", help="shrinking-window probe for atomless laws")
     common(p)
@@ -343,16 +342,7 @@ def _cmd_mirror(args, started):
     for size in range(1, args.maxsize + 1):
         for sites in shapes.classes(size):
             q_plus = {s: 0.0 for s in sites}
-            halo = set()
-            for s in sites:
-                for v, _ in kernel.offsets:
-                    if not any(v):
-                        continue
-                    t = tuple(a + b for a, b in zip(s, v))
-                    if t not in q_plus:
-                        halo.add(t)
-            for t in halo:
-                q_plus[t] = float("inf")
+            q_plus.update((t, float("inf")) for t in stencil_halo(sites, kernel))
             region = LatticeRegion.explicit(sites, collar=0)
             vals = np.zeros(len(region))
             config = Configuration(region, vals)
@@ -381,22 +371,20 @@ _HANDLERS = {
     "catalog": _cmd_catalog,
     "mirror": _cmd_mirror,
 }
-
-
-_VALUE_FLAGS = {"--grid", "--interval", "--windows", "--eps", "--E", "--a",
-                "--b", "--approx", "--minpoly", "--atoms", "--p"}
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def _glue_negative_values(argv):
-    """Join flags with values like '-2.5:2.5:101', which argparse would
-    otherwise read as option strings."""
+    """Join each --option with a value like '-2.5:2.5:101', which argparse
+    would otherwise read as an option string.  Every option but --help takes
+    one value, so --help (or a prefix of it) is never joined."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (tok in _VALUE_FLAGS and nxt and len(nxt) > 1
-                and nxt[0] == "-" and (nxt[1].isdigit() or nxt[1] == ".")):
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if (tok.startswith("--") and "=" not in tok and not "--help".startswith(tok)
+                and len(nxt) > 1 and nxt[0] == "-" and (nxt[1].isdigit() or nxt[1] == ".")):
             out.append(f"{tok}={nxt}")
             i += 2
         else:

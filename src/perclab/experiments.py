@@ -540,8 +540,7 @@ class ConvergenceReport:
         return rows
 
 
-def convergence_study(params: ExperimentParams, halfwidths: Sequence[int],
-                      restrictions: Sequence[str] = RESTRICTIONS) -> ConvergenceReport:
+def convergence_study(params: ExperimentParams, halfwidths: Sequence[int]) -> ConvergenceReport:
     """Cauchy differences across volumes and box-vs-connected differences.
 
     Shared counter-based randomness couples the volumes: nested boxes see the
@@ -552,20 +551,19 @@ def convergence_study(params: ExperimentParams, halfwidths: Sequence[int],
         raise PreconditionError("need at least two increasing box sizes")
     ids = {}
     for L in halfwidths:
-        for restriction in restrictions:
+        for restriction in RESTRICTIONS:
             sub = ExperimentParams(params.dim, params.kernel, params.dist, L,
                                    grid=params.grid, realizations=params.realizations,
                                    seed=params.seed, restriction=restriction,
                                    workers=params.workers)
             ids[(L, restriction)] = estimate_ids(sub)
     cauchy = []
-    for restriction in restrictions:
+    for restriction in RESTRICTIONS:
         for la, lb in zip(halfwidths, halfwidths[1:]):
             d = float(np.abs(ids[(lb, restriction)].mean - ids[(la, restriction)].mean).max())
             cauchy.append((la, lb, restriction, d))
     box_vs_con = []
-    if set(("box", "con")) <= set(restrictions):
-        for L in halfwidths:
-            d = float(np.abs(ids[(L, "box")].mean - ids[(L, "con")].mean).max())
-            box_vs_con.append((L, d))
+    for L in halfwidths:
+        d = float(np.abs(ids[(L, "box")].mean - ids[(L, "con")].mean).max())
+        box_vs_con.append((L, d))
     return ConvergenceReport(halfwidths, params.grid, ids, cauchy, box_vs_con)

@@ -425,8 +425,11 @@ _SideOuter = "outer"
 def boundary(region: LatticeRegion, subset, l: int, side: str) -> list:
     """Inner/outer l-boundary of a site set, in the adjacency graph metric.
 
-    inner: sites of the subset within graph distance l of its complement in
-    Z^d; outer: complement sites within distance l of the subset.  Output is
+    outer: complement sites within graph distance l of the subset, the
+    collar of LatticeRegion.explicit(subset, l).  inner: subset sites within
+    distance l of its complement in Z^d.  A shortest path to the complement
+    first leaves the subset at an outer 1-boundary site, so these are the
+    subset sites within distance l (not l - 1) of that ring.  Output is
     sorted and deterministic.
     """
     if side not in (_SideInner, _SideOuter):
@@ -436,46 +439,28 @@ def boundary(region: LatticeRegion, subset, l: int, side: str) -> list:
     sub = {tuple(int(x) for x in s) for s in subset}
     if not sub:
         return []
-    dim = len(next(iter(sub)))
     idx = region.site_index()
     for s in sub:
         if s not in idx:
             raise PreconditionError(f"subset site {s} not contained in region")
     if l == 0:
         return []
-
-    def neighbors(s):
-        for k in range(dim):
-            for d in (-1, 1):
-                yield s[:k] + (s[k] + d,) + s[k + 1:]
-
+    walk = LatticeRegion.explicit(sub, collar=l if side == _SideOuter else 1)
+    ring = [tuple(s) for s in walk.sites[walk.n_core:].tolist()]  # sorted
     if side == _SideOuter:
-        seen = set(sub)
-        frontier = sub
-        out = set()
-        for _ in range(l):
-            nxt = set()
-            for s in frontier:
-                for t in neighbors(s):
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.add(t)
-            out |= nxt
-            frontier = nxt
-        return sorted(out)
+        return ring
+    near = LatticeRegion.explicit(ring, collar=l).site_index()
+    return sorted(s for s in sub if s in near)
 
-    # inner: multi-source BFS into the subset from its exterior neighbors
-    frontier = {s for s in sub if any(t not in sub for t in neighbors(s))}
-    inner = set(frontier)
-    for _ in range(l - 1):
-        nxt = set()
-        for s in frontier:
-            for t in neighbors(s):
-                if t in sub and t not in inner:
-                    inner.add(t)
-                    nxt.add(t)
-        frontier = nxt
-    return sorted(inner)
+
+def stencil_halo(sites, kernel: HoppingKernel) -> list:
+    """Sites one nonzero stencil offset away from a site set and outside it,
+    sorted: the sites the stencil couples the set to.  For the adjacency
+    kernel this is the outer 1-boundary."""
+    inside = {tuple(int(x) for x in s) for s in sites}
+    moves = [v for v, _ in kernel.offsets if any(v)]
+    halo = {tuple(a + b for a, b in zip(s, v)) for s in inside for v in moves}
+    return sorted(halo - inside)
 
 
 # ---------------------------------------------------------------------------

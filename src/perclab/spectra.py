@@ -43,7 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InternalCheckError, PreconditionError, ResourceGuardError
-from .model import Configuration, HoppingKernel, LatticeRegion, adjacency_kernel
+from .model import Configuration, HoppingKernel, LatticeRegion, adjacency_kernel, stencil_halo
 from .operator import DENSE_GUARD, SymmetricOperatorMatrix, assemble
 from .percolation import SubgraphCatalog
 
@@ -161,18 +161,6 @@ def _tridiagonal_form(sub: SymmetricOperatorMatrix):
     return None
 
 
-def _dense_eigs_for_block(sub: SymmetricOperatorMatrix) -> np.ndarray:
-    if sub.dim > DENSE_GUARD:
-        raise InternalCheckError(
-            f"factorization breakdown on a block of dimension {sub.dim}, "
-            f"beyond the dense guard {DENSE_GUARD}"
-        )
-    tri = _tridiagonal_form(sub)
-    if tri is not None:
-        return scipy.linalg.eigvalsh_tridiagonal(tri[0], tri[1])
-    return np.linalg.eigvalsh(sub.to_dense())
-
-
 def count_below(matrix: SymmetricOperatorMatrix, energy: float, inclusive: bool = False) -> int:
     """N(E) = #{lambda < E - tau}, or N<=(E) = #{lambda <= E + tau} when inclusive.
 
@@ -207,7 +195,15 @@ class _LargeBlock:
 
     def eigs(self) -> np.ndarray:
         if self._eigs is None:
-            self._eigs = _dense_eigs_for_block(self.sub)
+            if self.sub.dim > DENSE_GUARD:
+                raise InternalCheckError(
+                    f"factorization breakdown on a block of dimension {self.sub.dim}, "
+                    f"beyond the dense guard {DENSE_GUARD}"
+                )
+            if self._tri is not None:
+                self._eigs = scipy.linalg.eigvalsh_tridiagonal(*self._tri)
+            else:
+                self._eigs = np.linalg.eigvalsh(self.sub.to_dense())
         return self._eigs
 
     def _negcount(self, shift: float, tol: float) -> Optional[int]:
@@ -875,6 +871,11 @@ def cluster_spectrum_catalog(catalog: SubgraphCatalog, atom_values=(0.0,)) -> Fi
 def mirror_embed(support, q_on_splus, f, energy, kernel: Optional[HoppingKernel] = None):
     """Embed a finitely supported eigenstate into a doubled configuration.
 
+    q_on_splus must give the potential on the support and on its stencil
+    halo (model.stencil_halo).  The input is checked first: with f zero off
+    the support, H f = E f on every support site and on every active halo
+    site of the assembled support + halo.
+
     Reflects the potential across the empty column x1 = a - 1 (a the minimal
     first coordinate of the support) and extends the state antisymmetrically,
     with value 0 on the reflection axis.  The result is verified: the
@@ -894,46 +895,36 @@ def mirror_embed(support, q_on_splus, f, energy, kernel: Optional[HoppingKernel]
         raise PreconditionError("mirror embedding requires a range-1 kernel")
     if kernel.dim != dim:
         raise PreconditionError("kernel dimension does not match the support")
-    sset = set(support)
     q = {tuple(int(x) for x in k): float(v) for k, v in q_on_splus.items()}
     fval = {tuple(int(x) for x in k): float(v) for k, v in f.items()}
     energy = float(energy)
     fmax = max((abs(v) for v in fval.values()), default=0.0)
     tol = 1e-12 * (1.0 + abs(energy)) * max(1.0, fmax)
 
-    moves = [v for v, _ in kernel.offsets if any(v)]
-    halo = set()
-    for s in support:
-        for v in moves:
-            t = tuple(a + b for a, b in zip(s, v))
-            if t not in sset:
-                halo.add(t)
-    missing = [s for s in support if s not in q] + [t for t in sorted(halo) if t not in q]
+    halo = stencil_halo(support, kernel)
+    missing = [s for s in support + halo if s not in q]
     if missing:
         raise PreconditionError(f"potential not provided on {missing[0]} (support + outer boundary)")
     for s in support:
         if not math.isfinite(q[s]):
             raise PreconditionError(f"support site {s} is closed")
 
-    def stencil_sum(k):
-        total = 0.0
-        for v, c in kernel.offsets:
-            if not any(v):
-                continue
-            j = tuple(a + b for a, b in zip(k, v))
-            if j in sset:
-                total += c * fval.get(j, 0.0)
-        return total
-
-    shift = kernel.diagonal_shift()
+    # H f - E f with f zero off the support; closed halo sites have no row
+    patch = LatticeRegion.explicit(support + halo)
+    values = np.array([q[tuple(s)] for s in patch.sites.tolist()])
+    local = assemble(Configuration(patch, values), kernel)
+    row_of = {tuple(s): i for i, s in enumerate(local.sites.tolist())}
+    fvec = np.zeros(local.dim)
     for s in support:
-        lhs = (q[s] + shift) * fval.get(s, 0.0) + stencil_sum(s)
-        if abs(lhs - energy * fval.get(s, 0.0)) > tol:
+        fvec[row_of[s]] = fval.get(s, 0.0)
+    resid = local.to_sparse() @ fvec - energy * fvec
+    for s in support:
+        if abs(resid[row_of[s]]) > tol:
             raise PreconditionError(
                 f"f is not an eigenvector at energy {energy}: residual at {s}"
             )
-    for t in sorted(halo):
-        if math.isfinite(q[t]) and abs(stencil_sum(t)) > tol:
+    for t in halo:
+        if t in row_of and abs(resid[row_of[t]]) > tol:
             raise PreconditionError(
                 f"nonzero coupling residual at active site {t} outside the support"
             )

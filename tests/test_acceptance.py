@@ -21,7 +21,7 @@ from perclab import (ExperimentParams, PotentialDistribution, adjacency_kernel,
                      log_hoelder_check, luck_bound, mirror_embed,
                      sample_configuration, wegner_experiment)
 from perclab.cli import run as cli_run
-from perclab.model import Configuration, LatticeRegion
+from perclab.model import Configuration, LatticeRegion, stencil_halo
 from perclab.operator import assemble
 from perclab.spectra import AlgebraicNumber, BlockSpectra, eigs_dense
 
@@ -252,11 +252,7 @@ def test_criterion_12_mirror_charge_for_catalog_states():
     for size in range(1, 5):
         for sites in shapes.classes(size):
             q_plus = {s: 0.0 for s in sites}
-            for s in sites:
-                for v, _ in K2.offsets:
-                    t = (s[0] + v[0], s[1] + v[1])
-                    if t not in q_plus:
-                        q_plus[t] = float("inf")
+            q_plus.update((t, float("inf")) for t in stencil_halo(sites, K2))
             region = LatticeRegion.explicit(sites, collar=0)
             sample = eigs_dense(assemble(Configuration(region, np.zeros(len(region))),
                                          K2, region.core_indices), vectors=True)

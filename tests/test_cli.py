@@ -11,7 +11,9 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,14 @@ BAD_ARGS = {
     "window_beyond_float": ["jumps", "--L", "4", "--p", "0.5", "--E", "0", "--windows", "1e400"],
     "continuity_window_inf": ["continuity", "--L", "4", "--E", "0", "--windows", "1e-2,inf",
                               "--dist", '{"pieces": [[0.0, 1.0, 0.7]], "inactive": 0.3}'],
+    # negative values after options that take them whole
+    "halfwidth_negative": ["ids", "--L", "-3", "--p", "0.5"],
+    "halfwidth_negative_range": ["ids", "--L", "-3:4", "--p", "0.5"],
+    "seed_negative_fraction": ["ids", "--L", "2", "--p", "0.5", "--seed", "-1.5"],
+    "denominator_negative": ["loghoelder", "--L", "2", "--p", "0.5", "--minpoly", "-2,0,1",
+                             "--denom", "-2"],
+    "denominator_negative_fraction": ["loghoelder", "--L", "2", "--p", "0.5",
+                                      "--minpoly", "-2,0,1", "--denom", "-.5"],
 }
 
 
@@ -96,6 +106,31 @@ def test_bad_arguments_give_one_usage_line(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: usage:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, dest, value", [
+    (["ids", "--L", "2", "--seed", "-3"], "seed", -3),
+    (["ids", "--L", "2", "--se", "-3"], "seed", -3),
+    (["ids", "--L", "-3"], "L", [-3]),
+    (["ids", "--L", "2", "--grid", "-1:1:3"], "grid", [-1.0, 0.0, 1.0]),
+    (["jumps", "--L", "2", "--E", "-1/2"], "E", [Fraction(-1, 2)]),
+    (["wegner", "--L", "2", "--a", "-6", "--b", "6", "--interval", "-.5:0.5"],
+     "interval", [(-0.5, 0.5)]),
+    (["loghoelder", "--L", "2", "--denom", "-2"], "denom", -2),
+    (["loghoelder", "--L", "2", "--eps", "-.5"], "eps", (-0.5,)),
+    (["loghoelder", "--L", "2"], "eps", (1e-2, 1e-4, 1e-8)),
+    (["ids", "--L", "2"], "grid", list(np.linspace(-4.5, 4.5, 61))),
+])
+def test_every_option_takes_a_negative_value(argv, dest, value):
+    args = cli._build_parser().parse_args(cli._glue_negative_values(argv))
+    got = getattr(args, dest)
+    assert (got.tolist() if isinstance(got, np.ndarray) else got) == value
+
+
+def test_help_is_never_joined_with_a_negative_value(capsys):
+    assert run(["ids", "--help", "-3"]) == 0
+    assert run(["ids", "--he", "-3"]) == 0
+    assert "--out" in capsys.readouterr().out
 
 
 INF_ATOM = '{"atoms": [[0, 0.5], [Infinity, 0.5]]}'
@@ -324,6 +359,22 @@ GOLDEN = {
     # were numbered from csgraph's component order
     "gn": (["gn", "--dim", "2", "--L", "40", "--p", "0.59", "--nmax", "10", "--realizations", "4"],
            "00bb956e11c039438ff3e16de542f53442c10cb4ac0cbd9e5a79436b33d6eead"),
+    # recorded before mirror_embed checked H f = E f on an assembled matrix
+    # and the stencil halo had one helper; the residual column comes from
+    # eigh eigenvectors
+    "mirror_d1": (["mirror", "--dim", "1", "--maxsize", "6"],
+                  "31774a3d583e1e31c4f1d223503d60f9413a3d1b56da9e3940eaafee70df3800"),
+    "mirror_d2": (["mirror", "--dim", "2", "--maxsize", "5"],
+                  "11c9c88f5254f1b5788298c0cdced8a68eb69d7d95d069304f699a8132645c80"),
+    "mirror_d3": (["mirror", "--dim", "3", "--maxsize", "4"],
+                  "640638d616aaae171551173512b55e798df8fe082f325c57b4abb95d3694ce98"),
+    "mirror_d2_x_hops": (["mirror", "--dim", "2", "--maxsize", "5",
+                          "--kernel", '{"offsets": [[[1,0],1],[[-1,0],1]]}'],
+                         "2eefca0d2908385acb873c0c204279b6a1129c3b1708a60dbaeb23af298dcba0"),
+    "mirror_d2_anisotropic": (["mirror", "--dim", "2", "--maxsize", "5", "--kernel",
+                               '{"offsets": [[[1,0],1],[[-1,0],1],[[0,1],-2],[[0,-1],-2],'
+                               '[[0,0],0.5]]}'],
+                              "b2ea196b7612adceaefc93bf92f656f9b94b4bb7272a6d380282f140dec9b15d"),
 }
 
 ANISOTROPIC_RANGE_2 = json.dumps({"offsets": [

@@ -194,6 +194,39 @@ def test_boundary_edge_cases():
         boundary(reg, [(99,)], 1, "inner")
 
 
+@st.composite
+def boundary_cases(draw):
+    """(dim, halfwidth, subset, l, side): random subsets of small boxes."""
+    dim = draw(st.integers(1, 3))
+    half = draw(st.integers(0, (3, 2, 1)[dim - 1]))
+    box = list(itertools.product(range(-half, half + 1), repeat=dim))
+    subset = draw(st.lists(st.sampled_from(box), min_size=1, max_size=len(box), unique=True))
+    return dim, half, subset, draw(st.integers(0, 3)), draw(st.sampled_from(("inner", "outer")))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(boundary_cases())
+def test_boundary_matches_the_l1_distance_oracle(case):
+    # graph distance on Z^d is the l1 distance.  Sites within l of the subset
+    # lie in the box widened by l, and a nearest complement site of a subset
+    # site lies in the box widened by 1
+    dim, half, subset, l, side = case
+    sub = set(subset)
+
+    def dist(s, sites):
+        return min(sum(abs(a - b) for a, b in zip(s, t)) for t in sites)
+
+    def widened(w):
+        return itertools.product(range(-half - w, half + w + 1), repeat=dim)
+
+    if side == "outer":
+        expect = sorted(s for s in widened(l) if s not in sub and dist(s, sub) <= l)
+    else:
+        complement = [s for s in widened(1) if s not in sub]
+        expect = sorted(s for s in sub if dist(s, complement) <= l)
+    assert boundary(LatticeRegion.box(dim, half), subset, l, side) == expect
+
+
 def test_boundary_partition_and_disjointness():
     reg = LatticeRegion.box(2, 2, 2)
     sub = [(0, 0), (0, 1), (1, 0), (2, 0), (-2, 1)]

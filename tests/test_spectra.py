@@ -818,13 +818,21 @@ def test_mirror_delta_state():
 
 
 def test_mirror_rejects_non_eigenvector():
+    # both sites fail; the first one reported is the first in the given order
     q = {(-1,): INF, (0,): 0.0, (1,): 0.0, (2,): INF}
-    with pytest.raises(PreconditionError):
-        mirror_embed([(0,), (1,)], q, {(0,): 1.0, (1,): 0.0}, 1.0)
+    for support in ([(0,), (1,)], [(1,), (0,)]):
+        with pytest.raises(PreconditionError) as info:
+            mirror_embed(support, q, {(0,): 1.0, (1,): 0.0}, 1.0)
+        assert str(info.value) == f"f is not an eigenvector at energy 1.0: residual at {support[0]}"
 
 
 def test_mirror_rejects_active_site_with_coupling():
-    q = {(-1,): INF, (0,): 0.0, (1,): 0.0, (2,): 0.0}  # site 2 active but coupled
+    # site 2, and site -1 when open, are active but coupled; halo sites are
+    # reported in sorted order
     f = {(0,): 1 / math.sqrt(2), (1,): 1 / math.sqrt(2)}
-    with pytest.raises(PreconditionError):
-        mirror_embed([(0,), (1,)], q, f, 1.0)
+    for left, first in ((INF, (2,)), (0.0, (-1,))):
+        q = {(-1,): left, (0,): 0.0, (1,): 0.0, (2,): 0.0}
+        with pytest.raises(PreconditionError) as info:
+            mirror_embed([(1,), (0,)], q, f, 1.0)
+        assert str(info.value) == (f"nonzero coupling residual at active site {first} "
+                                   "outside the support")
