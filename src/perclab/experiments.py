@@ -71,6 +71,8 @@ class ExperimentParams:
         self.grid = np.asarray(self.grid, dtype=np.float64)
         if self.grid.ndim != 1 or len(self.grid) == 0:
             raise PreconditionError("energy grid must be a nonempty 1-d array")
+        if not np.all(np.isfinite(self.grid)):
+            raise PreconditionError("energy grid must be finite")
         if len(self.grid) > 1 and not np.all(np.diff(self.grid) > 0):
             raise PreconditionError("energy grid must be strictly increasing")
         if self.realizations < 1:
@@ -111,13 +113,8 @@ def _map_realizations(fn, m: int, workers: int):
 
 
 def _mean_stderr(rows: np.ndarray):
-    mean = rows.mean(axis=0)
-    m = rows.shape[0]
-    if m > 1:
-        stderr = rows.std(axis=0, ddof=1) / math.sqrt(m)
-    else:
-        stderr = np.zeros_like(mean)
-    return mean, stderr
+    mean, m = rows.mean(axis=0), rows.shape[0]
+    return mean, rows.std(axis=0, ddof=1) / math.sqrt(m) if m > 1 else np.zeros_like(mean)
 
 
 def _realization(params: ExperimentParams, index: int) -> BlockSpectra:

@@ -15,8 +15,9 @@ the engine's edge lists (no dense matrix is built), and characteristic
 polynomials for the log-Holder machinery.
 
 A realization has many cluster blocks but few distinct ones, so BlockSpectra
-groups identical blocks and solves one representative per class, weighting
-it by the class size.  No block result is cached across calls or realizations.
+groups identical blocks, by a 64-bit key per block checked against the
+block's bits, and solves one representative per class, weighting it by the
+class size.  No block result is cached across calls or realizations.
 
 The finite-cluster catalog builds the hopping matrices of all subgraph
 classes of one size at once from their pair offsets and diagonalizes them in
@@ -43,7 +44,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InternalCheckError, PreconditionError, ResourceGuardError
-from .model import Configuration, HoppingKernel, LatticeRegion, adjacency_kernel, stencil_halo
+from .model import (Configuration, HoppingKernel, LatticeRegion, _mix64, adjacency_kernel,
+                    stencil_halo)
 from .operator import DENSE_GUARD, SymmetricOperatorMatrix, assemble
 from .percolation import SubgraphCatalog
 
@@ -198,8 +200,7 @@ class _LargeBlock:
             if self.sub.dim > DENSE_GUARD:
                 raise InternalCheckError(
                     f"factorization breakdown on a block of dimension {self.sub.dim}, "
-                    f"beyond the dense guard {DENSE_GUARD}"
-                )
+                    f"beyond the dense guard {DENSE_GUARD}")
             if self._tri is not None:
                 self._eigs = scipy.linalg.eigvalsh_tridiagonal(*self._tri)
             else:
@@ -262,6 +263,27 @@ def _projector_share(w, v, take, energies) -> np.ndarray:
                      for k in _counts_from_eigs(w, energies, inclusive=False).tolist()])
 
 
+@functools.lru_cache
+def _multipliers(width: int) -> np.ndarray:
+    return _mix64(np.arange(width, dtype=np.uint64)) | np.uint64(1)
+
+
+def _exact_groups(records: np.ndarray):
+    """(first, inverse, counts) of the distinct rows of a 2-d int64 array, as
+    np.unique(records, axis=0) gives them but in key order.  A row's key sums
+    its entries, each xored with its high half (or two flipped sign bits could
+    cancel), times odd multipliers mod 2^64; a collision falls back to the row sort."""
+    folded = records.view(np.uint64) >> np.uint64(32)
+    folded ^= records.view(np.uint64)
+    keys = folded @ _multipliers(1 << (records.shape[1] - 1).bit_length())[:records.shape[1]]
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    if not np.array_equal(records, records[first[inverse]]):
+        _, first, inverse, counts = np.unique(records, axis=0, return_index=True,
+                                              return_inverse=True, return_counts=True)
+    return first, inverse.reshape(-1), counts
+
+
 class BlockSpectra:
     """Counting service for one assembled matrix, organized by cluster block.
 
@@ -308,8 +330,8 @@ class BlockSpectra:
 
         Blocks are bucketed by (size, edge count).  Within a bucket every block
         is one fixed-width int64 record (relative sites, diagonal, local edge
-        ends, edge values; floats by bit pattern), so np.unique over the
-        records is exact and distinct blocks never merge.
+        ends, edge values; floats by bit pattern); _exact_groups makes a class of
+        equal records, in key order, represented by its first block.
         """
         class_of = np.zeros(len(lens), dtype=np.int64)
         classes, ncls = [], 0
@@ -329,10 +351,9 @@ class BlockSpectra:
                     self._diag_g[rows].view(np.int64),
                     self._ei_g[edges], self._ej_g[edges],
                     self._ev_g[edges].view(np.int64)], axis=1)
-                _, first, inverse, mult = np.unique(records, axis=0, return_index=True,
-                                                    return_inverse=True, return_counts=True)
+                first, inverse, mult = _exact_groups(records)
                 reps = members[first]
-            class_of[members] = ncls + np.reshape(inverse, -1)
+            class_of[members] = ncls + inverse
             classes.append((size, reps, mult))
             ncls += len(reps)
         return classes, class_of
@@ -367,6 +388,8 @@ class BlockSpectra:
 
     def counts_below(self, energies, inclusive: bool = False) -> np.ndarray:
         energies = np.asarray(energies, dtype=np.float64)
+        if np.isnan(energies).any():
+            raise PreconditionError("energies must not be NaN")
         out = _counts_from_eigs(self.small_eigs, energies, inclusive).astype(np.int64)
         for lb in self.large:
             out += lb.counts(energies, inclusive)
@@ -420,10 +443,10 @@ class BlockSpectra:
             rows = take[self._starts[blocks, None] + np.arange(size)]
             live = rows.any(axis=1)
             rep = self._class_of[blocks[live]] - self._class_of[blocks[0]]  # index into w, v
-            keys, which = np.unique(np.column_stack((rep, rows[live])), axis=0,
-                                    return_inverse=True)
-            share_of[blocks[live]] = len(shares) + which.reshape(-1)
-            shares += [_projector_share(w[k[0]], v[k[0]], k[1:] > 0, energies) for k in keys]
+            keys = np.column_stack((rep, rows[live]))
+            first, which, _ = _exact_groups(keys)
+            share_of[blocks[live]] = len(shares) + which
+            shares += [_projector_share(w[k[0]], v[k[0]], k[1:] > 0, energies) for k in keys[first]]
         total = np.zeros(len(energies))
         for k in share_of[share_of >= 0].tolist():
             total += shares[k]
@@ -592,11 +615,8 @@ def luck_bound(matrix, energy: int, eps: float):
     if k is None:
         raise InternalCheckError("shifted characteristic polynomial vanished")
     c_const = abs(shifted[k])
-    inf_norm = max(
-        (sum(abs(rows[i][j]) for j in range(n) if j != i) + abs(rows[i][i] - energy)
-         for i in range(n)),
-        default=0,
-    )
+    inf_norm = max((sum(map(abs, row)) - abs(row[i]) + abs(row[i] - energy)
+                    for i, row in enumerate(rows)), default=0)
     big_k = max(1.0, float(inf_norm))
     bound = (-math.log(c_const) + n * math.log(big_k)) / math.log(1.0 / eps)
     eigs = np.linalg.eigvalsh(np.array(rows, dtype=np.float64)) if n else np.zeros(0)
@@ -604,8 +624,7 @@ def luck_bound(matrix, energy: int, eps: float):
     lhs = int(upper - lower)
     if lhs > bound:
         raise InternalCheckError(
-            f"count increment {lhs} exceeds its theorem bound {bound:.6g}"
-        )
+            f"count increment {lhs} exceeds its theorem bound {bound:.6g}")
     return bound, lhs
 
 
@@ -818,8 +837,7 @@ def cluster_spectrum_catalog(catalog: SubgraphCatalog, atom_values=(0.0,)) -> Fi
     if total > ASSIGNMENT_GUARD:
         raise ResourceGuardError(
             f"{total} subgraph/potential assignments exceed guard {ASSIGNMENT_GUARD}",
-            reached=total,
-        )
+            reached=total)
     # each eigenvalue of a size-s matrix may become an entry listing s sites
     listed = sum(m * s * s for m, s in zip(matrices, sizes))
     if listed > WITNESS_SITE_GUARD:
@@ -882,8 +900,9 @@ def mirror_embed(support, q_on_splus, f, energy, kernel: Optional[HoppingKernel]
     assembled restriction satisfies H g = E g on every active site and
     ||g||^2 doubles.
 
-    Returns (region, configuration, g) with g aligned to the row order of
-    assemble(configuration, kernel, all region sites).
+    Returns (region, configuration, g, residual) with g aligned to the row
+    order of assemble(configuration, kernel, all region sites) and residual
+    the 2-norm of H g - E g on that assembly.
     """
     support = [tuple(int(x) for x in s) for s in support]
     if not support:
@@ -921,13 +940,11 @@ def mirror_embed(support, q_on_splus, f, energy, kernel: Optional[HoppingKernel]
     for s in support:
         if abs(resid[row_of[s]]) > tol:
             raise PreconditionError(
-                f"f is not an eigenvector at energy {energy}: residual at {s}"
-            )
+                f"f is not an eigenvector at energy {energy}: residual at {s}")
     for t in halo:
         if t in row_of and abs(resid[row_of[t]]) > tol:
             raise PreconditionError(
-                f"nonzero coupling residual at active site {t} outside the support"
-            )
+                f"nonzero coupling residual at active site {t} outside the support")
 
     a = min(s[0] for s in support)
     axis = a - 1
@@ -962,12 +979,11 @@ def mirror_embed(support, q_on_splus, f, energy, kernel: Optional[HoppingKernel]
         g[row_of[s]] = v
         g[row_of[reflect(s)]] = -v
 
-    resid = matrix.to_sparse() @ g - energy * g
-    rnorm = float(np.linalg.norm(resid))
-    if rnorm > 1e-12 * (1.0 + abs(energy)) * max(1.0, fmax):
+    rnorm = float(np.linalg.norm(matrix.to_sparse() @ g - energy * g))
+    if rnorm > tol:
         raise InternalCheckError(f"mirror construction residual {rnorm:.3e}")
     f2 = sum(v * v for v in fval.values())
     g2 = float(g @ g)
     if abs(g2 - 2.0 * f2) > 1e-12 * max(1.0, 2.0 * f2):
         raise InternalCheckError("mirrored state norm is not doubled")
-    return region, config, g
+    return region, config, g, rnorm

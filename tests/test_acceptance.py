@@ -259,9 +259,9 @@ def test_criterion_12_mirror_charge_for_catalog_states():
             for k, energy in enumerate(sample.values):
                 f = {tuple(s): float(sample.vectors[j, k])
                      for j, s in enumerate(region.sites.tolist())}
-                mregion, mconfig, g = mirror_embed(sites, q_plus, f, float(energy), K2)
+                mregion, mconfig, g, resid = mirror_embed(sites, q_plus, f, float(energy), K2)
                 matrix = assemble(mconfig, K2, mregion.core_indices)
-                resid = float(np.linalg.norm(matrix.to_sparse() @ g - float(energy) * g))
+                assert np.linalg.norm(matrix.to_sparse() @ g - float(energy) * g) == resid
                 assert resid <= 1e-12 * (1 + abs(float(energy)))
                 assert float(g @ g) == pytest.approx(2.0, abs=1e-12)
                 embedded += 1

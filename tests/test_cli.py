@@ -359,6 +359,17 @@ GOLDEN = {
     # were numbered from csgraph's component order
     "gn": (["gn", "--dim", "2", "--L", "40", "--p", "0.59", "--nmax", "10", "--realizations", "4"],
            "00bb956e11c039438ff3e16de542f53442c10cb4ac0cbd9e5a79436b33d6eead"),
+    # recorded before blocks were grouped into classes by a 64-bit key per block:
+    # ~10k d=1 blocks in 14 classes per realization, and a continuous law on
+    # which every class is one block with a float diagonal
+    "jumps_d1": (["jumps", "--dim", "1", "--L", "20000", "--p", "0.5", "--E", "0", "--E", "1",
+                  "--windows", "1e-6", "--realizations", "3", "--seed", "7"],
+                 "514c18b80f527bc214ee2ddf00b3a449c41c95505025d314ba614c5497ce297e"),
+    "projector_d1_pieces": (["ids", "--dim", "1", "--L", "2000",
+                             "--dist", '{"pieces": [[-1.0, 1.0, 0.6]], "inactive": 0.4}',
+                             "--estimator", "projector_diag", "--realizations", "4",
+                             "--seed", "11"],
+                            "6d9e03fc17ad9af266573b9df2689e0b8b3ca7aa1aaa8ecfaac5c6017d36ae92"),
     # recorded before mirror_embed checked H f = E f on an assembled matrix
     # and the stencil halo had one helper; the residual column comes from
     # eigh eigenvectors

@@ -62,6 +62,14 @@ def test_ids_grid_validation():
         bernoulli_params(1, 0.5, 10, grid=np.array([1.0, 0.5]))
 
 
+@pytest.mark.parametrize("grid", [[math.nan], [0.0, math.nan], [-math.inf, 0.0], [0.0, math.inf]])
+def test_ids_grid_must_be_finite(grid):
+    # a NaN energy used to count every small-block eigenvalue but none on the
+    # Sturm route
+    with pytest.raises(PreconditionError, match="energy grid must be finite"):
+        bernoulli_params(1, 0.5, 5, grid=np.array(grid))
+
+
 def test_counting_and_projector_agree_within_boundary_layer():
     grid = np.linspace(-4, 4, 9)
     params = bernoulli_params(2, 0.6, 7, grid=grid, m=8, seed=3)

@@ -20,8 +20,9 @@ from perclab import (AlgebraicNumber, Configuration, LatticeRegion,
                      kernel_dim_exact, luck_bound, mirror_embed,
                      sample_configuration, validate_kernel)
 from perclab.errors import PreconditionError, ResourceGuardError
+from perclab.operator import SymmetricOperatorMatrix
 from perclab.spectra import (CLUSTER_TOL, DENSE_BLOCK_MAX, EXACT_DIM_GUARD, BlockSpectra,
-                             _group_heads)
+                             _exact_groups, _group_heads)
 
 INF = float("inf")
 
@@ -91,6 +92,19 @@ def test_count_below_at_exact_eigenvalue_uses_fallback():
     m = path3()  # eigenvalues -sqrt2, 0, sqrt2
     assert count_below(m, 0.0) == 1
     assert count_below(m, 0.0, inclusive=True) == 2
+
+
+def test_counts_below_rejects_nan_on_every_route():
+    # a NaN energy used to count every eigenvalue of a small block and none of
+    # a chain on the Sturm route; infinite energies count none or all
+    small = BlockSpectra(path3())
+    chain = BlockSpectra(_matrix({(i,): 0.0 for i in range(-3000, 3001)}, 3000))
+    assert not small.large and len(chain.large) == 1
+    for engine in (small, chain):
+        for inclusive in (False, True):
+            with pytest.raises(PreconditionError, match="energies must not be NaN"):
+                engine.counts_below([0.0, math.nan], inclusive)
+            assert engine.counts_below([-INF, INF], inclusive).tolist() == [0, engine.matrix.dim]
 
 
 def test_block_spectra_agrees_with_count_below():
@@ -356,6 +370,88 @@ def test_blocks_differing_in_one_diagonal_entry_are_different_classes():
     w = np.sort(np.concatenate([np.linalg.eigvalsh(m.submatrix(b).to_dense())
                                 for b in m.blocks()]))
     assert np.allclose(engine.small_eigs, w, rtol=0, atol=1e-15)
+
+
+# Classes are found by one 64-bit key per block record, checked against the
+# records themselves; np.unique over whole rows is the oracle and the fallback.
+
+def _unique_rows(records):
+    _, first, inverse, counts = np.unique(records, axis=0, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    return first, inverse.reshape(-1), counts
+
+
+@pytest.fixture
+def row_sorts(monkeypatch):
+    """Row counts of every np.unique(..., axis=0) call, i.e. of every fallback."""
+    calls, unique = [], np.unique
+
+    def recording(a, *args, axis=None, **kwargs):
+        if axis is not None:
+            calls.append(len(a))
+        return unique(a, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np, "unique", recording)
+    return calls
+
+
+# few values, among them float bit patterns and words that differ in one bit
+_WORDS = [0, 1, -1, 2 ** 32, 2 ** 31, -2 ** 63, 2 ** 63 - 1,
+          *np.array([0.0, -0.0, 1.5, -1.5, 2.5, -2.5]).view(np.int64).tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda w: st.lists(
+    st.lists(st.sampled_from(_WORDS), min_size=w, max_size=w), min_size=1, max_size=30)))
+def test_exact_groups_equal_the_row_sort(rows):
+    records = np.array(rows, dtype=np.int64)
+    first, inverse, counts = _exact_groups(records)
+    o_first, o_inverse, o_counts = _unique_rows(records)
+    # the same partition, each row with the same representative and multiplicity
+    assert sorted(first.tolist()) == sorted(o_first.tolist())
+    assert first[inverse].tolist() == o_first[o_inverse].tolist()
+    assert counts[inverse].tolist() == o_counts[o_inverse].tolist()
+
+
+def _rebuilt(m, diag):
+    return SymmetricOperatorMatrix(m.sites, np.array(diag), m.off_i, m.off_j, m.off_v,
+                                   m.box_size, m.exact, m.norm_bound)
+
+
+def test_blocks_differing_in_the_sign_of_zeros_are_different_classes(row_sorts):
+    # three dimers: (0, 0), (-0.0, -0.0) and (0, 0); -0.0 == 0.0 as floats, but
+    # a class holds blocks equal bit for bit.  Two flipped sign bits must not
+    # cancel in the key either, so no fallback runs.
+    m = _matrix({(-5,): 0.0, (-4,): 0.0, (-1,): 0.0, (0,): 0.0, (4,): 0.0, (5,): 0.0}, 5)
+    engine = BlockSpectra(_rebuilt(m, [0.0, 0.0, -0.0, -0.0, 0.0, 0.0]))
+    assert _class_sizes(engine) == [1, 2]
+    assert engine.counts_below([0.0, 1.0, 1.5]).tolist() == [3, 3, 6]
+    assert row_sorts == []
+
+
+def _grouping_results(m, grid, mask):
+    engine = BlockSpectra(m)
+    reps = np.concatenate([reps for _, reps, _ in engine._classes])
+    kdims = [engine.kernel_dim(e) for e in (-1, 0, 1, Fraction(1, 2))] if m.exact else []
+    return (reps[engine._class_of].tolist(), _class_sizes(engine),
+            engine.counts_below(grid).tobytes(), engine.counts_below(grid, True).tobytes(),
+            kdims, engine.projector_diagonal(grid, mask).tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(GROUPING_CASES))
+def test_a_key_collision_falls_back_to_the_row_sort(name, row_sorts, monkeypatch):
+    import perclab.spectra as spectra
+    law, kernel, halfwidth = GROUPING_CASES[name]
+    m = assemble(sample_configuration(law, LatticeRegion.box(2, halfwidth, kernel.hop_range),
+                                      11, 0), kernel)
+    mask = np.random.default_rng(11).random(m.dim) < 0.7
+    grid = np.linspace(-5, 5, 23)
+    keyed = _grouping_results(m, grid, mask)
+    assert row_sorts == []
+    # every key 0: each bucket with two distinct records takes the fallback
+    monkeypatch.setattr(spectra, "_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
+    assert _grouping_results(m, grid, mask) == keyed
+    assert row_sorts
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -793,7 +889,7 @@ def test_catalog_matches_the_one_set_and_one_matrix_at_a_time_oracles(kernel, ma
 def test_mirror_dimer_state():
     q = {(-1,): INF, (0,): 0.0, (1,): 0.0, (2,): INF}
     f = {(0,): 1 / math.sqrt(2), (1,): 1 / math.sqrt(2)}
-    region, config, g = mirror_embed([(0,), (1,)], q, f, 1.0)
+    region, config, g, resid = mirror_embed([(0,), (1,)], q, f, 1.0)
     m = assemble(config, adjacency_kernel(1), region.core_indices)
     by_site = {tuple(s): v for s, v in zip(m.sites.tolist(), g.tolist())}
     r = 1 / math.sqrt(2)
@@ -802,16 +898,17 @@ def test_mirror_dimer_state():
     assert by_site[(-2,)] == pytest.approx(-r)
     assert by_site[(-3,)] == pytest.approx(-r)
     assert by_site[(-1,)] == 0.0
-    assert np.linalg.norm(m.to_sparse() @ g - 1.0 * g) <= 1e-12 * 2
+    assert np.linalg.norm(m.to_sparse() @ g - 1.0 * g) == resid <= 1e-12 * 2
     assert g @ g == pytest.approx(2 * (f[(0,)] ** 2 + f[(1,)] ** 2))
 
 
 def test_mirror_delta_state():
-    region, config, g = mirror_embed([(0,)], {(-1,): INF, (0,): 0.0, (1,): INF},
-                                     {(0,): 1.0}, 0.0)
+    region, config, g, resid = mirror_embed([(0,)], {(-1,): INF, (0,): 0.0, (1,): INF},
+                                            {(0,): 1.0}, 0.0)
     m = assemble(config, adjacency_kernel(1), region.core_indices)
     by_site = {tuple(s): v for s, v in zip(m.sites.tolist(), g.tolist())}
     assert by_site[(0,)] == 1.0 and by_site[(-2,)] == -1.0
+    assert resid == 0.0
     # the axis site is active with finite potential
     axis = config.values[region.index_of((-1,))]
     assert math.isfinite(axis)
