@@ -118,6 +118,8 @@ def _load_kernel(args) -> HoppingKernel:
 
 
 def _params(args) -> ExperimentParams:
+    if len(args.L) > 1 and args.command != "convergence":
+        raise PreconditionError(f"{args.command} takes --L once, got {len(args.L)} values")
     return ExperimentParams(args.dim, _load_kernel(args), _load_dist(args), args.L[0],
                             grid=args.grid, realizations=args.realizations, seed=args.seed,
                             restriction=args.restriction, workers=args.workers)

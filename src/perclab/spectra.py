@@ -2,17 +2,18 @@
 
 Counting has one definition on every route, with tau = CLUSTER_TOL:
 N(E) = #{lambda < E - tau} and, inclusive, N<=(E) = #{lambda <= E + tau}.
-Blocks up to DENSE_BLOCK_MAX are diagonalized and counted against the shifted
-energy.  Larger blocks read the count off the inertia of a symmetric
-factorization (Sturm recurrence or sparse LU) of A - (E -/+ tau)*Id, with a
-fall back to dense diagonalization whenever a pivot lands within tolerance
-of zero; the block is counted from that spectrum from then on.  Sparse LU
-orders a block once, at its first energy, and writes each later shift into
-the diagonal of the ordered copy in place.  Shifts beyond the norm bound are
-not factored at all.  Where floating point is not good enough, exact integer
-routines take over: jump multiplicities by sparse fraction-free elimination on
-the engine's edge lists (no dense matrix is built), and characteristic
-polynomials for the log-Holder machinery.
+Blocks up to DENSE_BLOCK_MAX are diagonalized (a bipartite block with one
+diagonal value c as c -/+ the singular values of its off-diagonal block) and
+counted against the shifted energy.  Larger blocks read the count off the
+inertia of a symmetric factorization (Sturm recurrence or sparse LU) of
+A - (E -/+ tau)*Id, with a fall back to eigvalsh whenever a pivot lands within
+tolerance of zero; the block is counted from that spectrum from then on.
+Sparse LU orders a block once, at its first energy, and writes each later
+shift into the diagonal of the ordered copy in place.  Shifts beyond the norm
+bound are not factored at all.  Where floating point is not good enough, exact
+integer routines take over: jump multiplicities by sparse fraction-free
+elimination on the engine's edge lists (no dense matrix is built), and
+characteristic polynomials for the log-Holder machinery.
 
 A realization has many cluster blocks but few distinct ones, so BlockSpectra
 groups identical blocks, by a 64-bit key per block checked against the
@@ -196,6 +197,9 @@ class _LargeBlock:
         self._ordered = False
 
     def eigs(self) -> np.ndarray:
+        """The dense spectrum, by eigvalsh.  It answers the shift that aborted, which
+        lies within tolerance of an eigenvalue, where the count follows the rounding
+        of the spectrum; the fallback tests pin eigvalsh's rounding there."""
         if self._eigs is None:
             if self.sub.dim > DENSE_GUARD:
                 raise InternalCheckError(
@@ -340,17 +344,14 @@ class BlockSpectra:
         order = np.lexsort((ecount, lens))
         breaks = np.flatnonzero(np.diff(lens[order]) | np.diff(ecount[order])) + 1
         for members in np.split(order, breaks):
-            size, m = int(lens[members[0]]), int(ecount[members[0]])
+            size = int(lens[members[0]])
             reps, inverse, mult = members, 0, np.ones(1, dtype=np.int64)
             if len(members) > 1:
-                rows = self._starts[members, None] + np.arange(size)
-                edges = self._edge_starts[members, None] + np.arange(m)
+                rows, ei, ej, ev = self._bucket(size, members)
                 sites = self._sites_g[rows]
                 records = np.concatenate([
                     (sites - sites[:, :1]).reshape(len(members), -1),
-                    self._diag_g[rows].view(np.int64),
-                    self._ei_g[edges], self._ej_g[edges],
-                    self._ev_g[edges].view(np.int64)], axis=1)
+                    self._diag_g[rows].view(np.int64), ei, ej, ev.view(np.int64)], axis=1)
                 first, inverse, mult = _exact_groups(records)
                 reps = members[first]
             class_of[members] = ncls + inverse
@@ -364,23 +365,56 @@ class BlockSpectra:
         return (self._sites_g[r0:r1], self._diag_g[r0:r1],
                 self._ei_g[e0:e1], self._ej_g[e0:e1], self._ev_g[e0:e1])
 
-    def _dense_stack(self, size, members) -> np.ndarray:
-        """Dense matrices of blocks that share a size and an edge count."""
-        x = np.arange(len(members))[:, None]
+    def _bucket(self, size, members):
+        """Rows (k, size) and local edges (k, m) of blocks sharing a size and edge count m."""
         rows = self._starts[members, None] + np.arange(size)
         m = self._edge_starts[members[0] + 1] - self._edge_starts[members[0]]
         edges = self._edge_starts[members, None] + np.arange(m)
-        ei, ej, ev = self._ei_g[edges], self._ej_g[edges], self._ev_g[edges]
+        return rows, self._ei_g[edges], self._ej_g[edges], self._ev_g[edges]
+
+    def _dense_stack(self, size, members) -> np.ndarray:
+        """Dense matrices of blocks that share a size and an edge count."""
+        rows, ei, ej, ev = self._bucket(size, members)
+        x = np.arange(len(members))[:, None]
         dense = np.zeros((len(members), size, size))
         dense[x, np.arange(size), np.arange(size)] = self._diag_g[rows]
         dense[x, ei, ej] = ev
         dense[x, ej, ei] = ev
         return dense
 
+    def _eigvals(self, size, reps) -> np.ndarray:
+        """Ascending spectra, (k, size), of k blocks that share a size and an edge count.
+
+        A block whose diagonal is one value c and whose every edge joins sites of
+        opposite coordinate-sum parity is c*Id + [[0, B], [B^T, 0]] in its two
+        colour classes, so its spectrum is c -/+ the singular values of B plus
+        |n1 - n2| copies of c (Golub & Van Loan, Matrix Computations, 8.6).  B has
+        the larger class as rows; blocks with equal smaller classes share one SVD
+        call.  Every other block goes to eigvalsh.
+        """
+        rows, ei, ej, ev = self._bucket(size, reps)
+        diag, odd = self._diag_g[rows], self._sites_g[rows].sum(axis=2) % 2 == 1
+        x = np.arange(len(reps))[:, None]
+        minor = odd ^ (2 * odd.sum(axis=1, keepdims=True) > size)  # the smaller colour class
+        flip = minor[x, ei]  # edges listed from their smaller-class end
+        certified = (diag == diag[:, :1]).all(axis=1) & (flip != minor[x, ej]).all(axis=1)
+        place = np.where(minor, minor.cumsum(axis=1), (~minor).cumsum(axis=1)) - 1  # in its class
+        i, j = place[x, np.where(flip, ej, ei)], place[x, np.where(flip, ei, ej)]
+        out, m = np.empty((len(reps), size)), minor.sum(axis=1)
+        for k in sorted(set(m[certified].tolist())):
+            g = np.flatnonzero(certified & (m == k))
+            b = np.zeros((len(g), size - k, k))
+            b[x[:len(g)], i[g], j[g]] = ev[g]
+            s, c = np.linalg.svd(b, compute_uv=False), diag[g, :1]  # s descending
+            out[g] = np.hstack([c - s, np.repeat(c, size - 2 * k, axis=1), c + s[:, ::-1]])
+        if not certified.all():
+            out[~certified] = np.linalg.eigvalsh(self._dense_stack(size, reps[~certified]))
+        return out
+
     @functools.cached_property
     def small_eigs(self) -> np.ndarray:
         """Ascending eigenvalues, with multiplicity, of every block up to DENSE_BLOCK_MAX."""
-        parts = [np.repeat(np.linalg.eigvalsh(self._dense_stack(size, reps)), mult, axis=0).ravel()
+        parts = [np.repeat(self._eigvals(size, reps), mult, axis=0).ravel()
                  for size, reps, mult in self._classes if size <= DENSE_BLOCK_MAX]
         return np.sort(np.concatenate(parts)) if parts else np.zeros(0)
 

@@ -42,6 +42,7 @@ def test_usage_error_exit_2(capsys):
     assert run(["nonsense"]) == 2
 
 
+ATOMLESS = '{"pieces": [[0.0, 1.0, 0.7]], "inactive": 0.3}'
 BAD_ARGS = {
     "workers_negative": ["ids", "--L", "4", "--p", "0.5", "--workers", "-3"],
     "workers_zero": ["ids", "--L", "4", "--p", "0.5", "--workers", "0"],
@@ -83,6 +84,15 @@ BAD_ARGS = {
     "catalog_atom_nan": ["catalog", "--maxsize", "2", "--atoms", "nan"],
     "catalog_atoms_with_inf": ["catalog", "--maxsize", "2", "--atoms", "0,inf"],
     "energy_beyond_float": ["jumps", "--L", "5", "--p", "0.5", "--E", "1e400"],
+    # only convergence studies several volumes; the others ran at the first --L
+    "ids_second_L": ["ids", "--L", "3", "--L", "0", "--p", "0.5"],
+    "jumps_second_L": ["jumps", "--L", "3", "--L", "4", "--p", "0.5", "--E", "0"],
+    "gn_second_L": ["gn", "--L", "3", "--L", "4", "--p", "0.5", "--nmax", "2"],
+    "wegner_second_L": ["wegner", "--L", "3", "--L", "4", "--dist", ATOMLESS, "--a", "-6",
+                        "--b", "6", "--interval", "0:0.5"],
+    "continuity_second_L": ["continuity", "--L", "3", "--L", "4", "--dist", ATOMLESS,
+                            "--E", "0"],
+    "loghoelder_second_L": ["loghoelder", "--L", "3", "--L", "4", "--p", "0.5", "--E", "0"],
     "energy_beyond_float_negative": ["jumps", "--L", "5", "--p", "0.5", "--E", "-1e400"],
     "window_inf": ["jumps", "--L", "4", "--p", "0.5", "--E", "0", "--windows", "inf"],
     "window_beyond_float": ["jumps", "--L", "4", "--p", "0.5", "--E", "0", "--windows", "1e400"],

@@ -13,7 +13,7 @@ from perclab import (ExperimentParams, PotentialDistribution, adjacency_kernel,
                      ids_jump, log_hoelder_check, wegner_experiment)
 from perclab.errors import HypothesisViolationError, PreconditionError
 from perclab.experiments import _box_region, _realization
-from perclab.spectra import AlgebraicNumber
+from perclab.spectra import DENSE_BLOCK_MAX, AlgebraicNumber
 
 K1 = adjacency_kernel(1)
 K2 = adjacency_kernel(2)
@@ -393,6 +393,26 @@ def test_convergence_p0_all_zero():
     rep = convergence_study(params, [4, 8])
     for _, _, _, diff in rep.cauchy:
         assert diff == 0.0
+
+
+def test_convergence_study_bit_identical_across_workers():
+    # L=16 has a dense giant block and L=34 one beyond DENSE_BLOCK_MAX, which
+    # sparse LU counts; three realizations over three threads
+    grid = np.linspace(-4.25, 4.25, 18)
+    reps = []
+    for workers in (1, 3):
+        params = bernoulli_params(2, 0.7, 16, grid=grid, m=3, seed=7)
+        params.workers = workers
+        reps.append(convergence_study(params, [16, 34]))
+    largest = [max(map(len, _realization(bernoulli_params(2, 0.7, L, grid=grid, seed=7), 0)
+                       .matrix.blocks())) for L in (16, 34)]
+    assert 500 < largest[0] <= DENSE_BLOCK_MAX < largest[1]
+    a, b = reps
+    assert a.ids.keys() == b.ids.keys() and len(a.ids) == 4
+    for key, x in a.ids.items():
+        y = b.ids[key]
+        assert x.mean.tobytes() == y.mean.tobytes() and x.stderr.tobytes() == y.stderr.tobytes()
+    assert a.to_csv_rows() == b.to_csv_rows()
 
 
 def test_convergence_needs_two_sizes():

@@ -142,12 +142,23 @@ def _free_box(dim, halfwidth):
     return assemble(Configuration(reg, vals), adjacency_kernel(dim)), np.sort(w)
 
 
-def _percolation_box():
-    c = sample_configuration(bernoulli_distribution(0.75), LatticeRegion.box(2, 30, 1), 0, 0)
-    m = assemble(c, adjacency_kernel(2))
-    w = np.concatenate([np.linalg.eigvalsh(m.submatrix(b).to_dense()) for b in m.blocks()])
-    return m, np.sort(w)
+def _per_block_eigs(m):
+    return np.sort(np.concatenate([np.linalg.eigvalsh(m.submatrix(b).to_dense())
+                                   for b in m.blocks()]))
 
+
+def _percolation_box(law=bernoulli_distribution(0.75), kernel=adjacency_kernel(2), halfwidth=30):
+    c = sample_configuration(law, LatticeRegion.box(2, halfwidth, kernel.hop_range), 0, 0)
+    m = assemble(c, kernel)
+    return m, _per_block_eigs(m)
+
+
+# dense blocks take c -/+ singular values only when bipartite with a constant
+# diagonal c; these three giants test c != 0, a mixed diagonal and an odd cycle
+ATOM_HALF = PotentialDistribution(atoms=((0.5, 0.75),), inactive_weight=0.25)
+TWO_ATOMS = PotentialDistribution(atoms=((0.0, 0.375), (1.0, 0.375)), inactive_weight=0.25)
+DIAGONAL_HOP = validate_kernel({(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1,
+                                (1, 1): 1, (-1, -1): 1})
 
 COUNT_CASES = {  # name -> (builder, largest block beyond DENSE_BLOCK_MAX)
     "chain_1001": (lambda: _free_box(1, 500), False),
@@ -155,6 +166,10 @@ COUNT_CASES = {  # name -> (builder, largest block beyond DENSE_BLOCK_MAX)
     "box_31x31": (lambda: _free_box(2, 15), False),
     "box_47x47": (lambda: _free_box(2, 23), True),
     "percolation_p075_L30": (_percolation_box, True),
+    "percolation_atom_half_L15": (lambda: _percolation_box(ATOM_HALF, halfwidth=15), False),
+    "percolation_two_atoms_L15": (lambda: _percolation_box(TWO_ATOMS, halfwidth=15), False),
+    "percolation_diagonal_hop_L15": (
+        lambda: _percolation_box(bernoulli_distribution(0.75), DIAGONAL_HOP, 15), False),
 }
 
 
@@ -186,6 +201,20 @@ def test_every_counting_route_returns_the_dense_snap_count(name, data):
     j = data.draw(st.integers(0, len(SNAP_OFFSETS) - 1), label="offset")
     assert count_below(m, energies[j]) == strict[j]
     assert count_below(m, energies[j], inclusive=True) == inclusive[j]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: sparse LU counts carry no backward-error "
+                                       "certificate, and on the 47 x 47 free box some are wrong")
+def test_sparse_lu_counts_on_the_free_box_match_the_closed_form():
+    # today: 679 and 1119 strict, 1090 and 1811 inclusive
+    m, w = _free_box(2, 23)
+    engine = BlockSpectra(m)
+    strict, inclusive = np.array([-1.0, 0.0]), np.array([0.0, 2.0])
+    expect = (np.searchsorted(w, strict - CLUSTER_TOL, side="left").tolist(),
+              np.searchsorted(w, inclusive + CLUSTER_TOL, side="right").tolist())
+    assert expect == ([678, 1081], [1128, 1812])
+    assert (engine.counts_below(strict).tolist(),
+            engine.counts_below(inclusive, inclusive=True).tolist()) == expect
 
 
 # Large blocks on the sparse LU route: the first factorization of a block
@@ -281,6 +310,104 @@ def test_zero_diagonal_block_keeps_its_slots_when_the_shift_zeroes_them(splu_cal
     assert engine.count_in_closed(-0.5, 0.5) == int(((w >= -0.5 - CLUSTER_TOL) &
                                                      (w <= 0.5 + CLUSTER_TOL)).sum())
     assert splu_calls == ["MMD_AT_PLUS_A", "NATURAL"]
+
+
+# Dense blocks: a bipartite block (every edge joins sites of opposite
+# coordinate-sum parity) with one diagonal value c has the spectrum c -/+ the
+# singular values of its off-diagonal block, plus |n1 - n2| copies of c, and
+# is diagonalized at half size; every other block goes to eigvalsh.
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Shapes of the stacks handed to np.linalg.svd and np.linalg.eigvalsh."""
+    calls = {"svd": [], "eigvalsh": []}
+    for name, seen in calls.items():
+        def recording(a, *args, _real=getattr(np.linalg, name), _seen=seen, **kwargs):
+            _seen.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
+def _largest(m):
+    return max(len(b) for b in m.blocks())
+
+
+def test_bipartite_blocks_with_a_constant_diagonal_take_the_svd(dense_calls):
+    # criterion 13's L=20 volume, a 0.5-diagonal box, and a d=1 box of
+    # chains, dimers and single sites: only singular values are computed
+    c = sample_configuration(bernoulli_distribution(0.7), LatticeRegion.box(2, 20, 1), 13, 0)
+    giant = assemble(c, adjacency_kernel(2))
+    chains = assemble(sample_configuration(bernoulli_distribution(0.5),
+                                           LatticeRegion.box(1, 300, 1), 1, 0), adjacency_kernel(1))
+    half, _, _ = _count_case("percolation_atom_half_L15")
+    assert _largest(giant) > 1000
+    for m in (giant, half, chains):
+        w = _per_block_eigs(m)
+        dense_calls["svd"].clear()
+        dense_calls["eigvalsh"].clear()
+        got = BlockSpectra(m).small_eigs
+        assert np.abs(got - w).max() < 1e-12
+        assert dense_calls["eigvalsh"] == []
+        # B has the larger colour class as rows
+        assert all(rows >= cols for _, rows, cols in dense_calls["svd"])
+        sizes = {rows + cols for _, rows, cols in dense_calls["svd"]}
+        assert _largest(m) in sizes
+    assert {1, 2, 3} <= sizes  # the chains box: singles, dimers, chains
+
+
+@pytest.mark.parametrize("name", ["percolation_two_atoms_L15", "percolation_diagonal_hop_L15"])
+def test_mixed_diagonals_and_odd_cycles_take_eigvalsh(name, dense_calls):
+    m, w, _ = _count_case(name)
+    dense_calls["svd"].clear()
+    dense_calls["eigvalsh"].clear()
+    got = BlockSpectra(m).small_eigs
+    assert np.abs(got - w).max() < 1e-12
+    n = _largest(m)
+    assert any(s[1:] == (n, n) for s in dense_calls["eigvalsh"])
+    assert not any(s[1] + s[2] == n for s in dense_calls["svd"])
+
+
+def test_half_size_spectra_edge_cases(dense_calls):
+    # single sites (one empty B each, one svd call) and dimers: c, and c -/+ 1
+    singles = BlockSpectra(_matrix({(0,): 0.5, (3,): -2.0}, 4))
+    assert singles.small_eigs.tolist() == [-2.0, 0.5] and dense_calls["svd"] == [(2, 1, 0)]
+    dimers = BlockSpectra(_matrix({(-4,): 0.25, (-3,): 0.25, (1,): 0.0, (2,): 0.0}, 4))
+    assert dimers.small_eigs.tolist() == [-1.0, -0.75, 1.0, 1.25]
+    # an empty matrix has no blocks
+    empty = BlockSpectra(_matrix({}, 3, dim=2))
+    assert empty.small_eigs.shape == (0,) and empty.counts_below([0.0, 5.0]).tolist() == [0, 0]
+    assert dense_calls["eigvalsh"] == []
+
+    # a -0.0 diagonal equals 0.0: same spectrum, same counts
+    m = path3()
+    signed = _rebuilt(m, [-0.0, 0.0, -0.0])
+    engine = BlockSpectra(signed)
+    assert np.abs(engine.small_eigs - np.array([-2 ** 0.5, 0.0, 2 ** 0.5])).max() < 1e-15
+    assert engine.counts_below([0.0]).tolist() == [1]
+    assert engine.counts_below([0.0], inclusive=True).tolist() == [2]
+    assert dense_calls["eigvalsh"] == []
+
+    # one (size, edge count) bucket with colour classes 2 + 2 (a path) and
+    # 1 + 3 (a star): one svd per smaller-class size
+    m = _matrix({(-4, 0): 0.0, (-3, 0): 0.0, (-2, 0): 0.0, (-1, 0): 0.0,
+                 (2, 0): 0.0, (3, 0): 0.0, (4, 0): 0.0, (3, 1): 0.0}, 4, dim=2)
+    engine = BlockSpectra(m)
+    assert [(size, len(reps)) for size, reps, _ in engine._classes] == [(4, 2)]
+    dense_calls["svd"].clear()
+    path = 2 * np.cos(np.arange(1, 5) * np.pi / 5)
+    star = np.array([-3 ** 0.5, 0.0, 0.0, 3 ** 0.5])
+    assert np.abs(engine.small_eigs - np.sort(np.concatenate([path, star]))).max() < 1e-14
+    assert sorted(dense_calls["svd"]) == [(1, 2, 2), (1, 3, 1)]
+    assert dense_calls["eigvalsh"] == []
+
+
+def test_large_bipartite_block_falls_back_to_the_closed_form_spectrum():
+    m, w = _free_box(2, 23)
+    engine = BlockSpectra(m)
+    assert [lb.sub.dim for lb in engine.large] == [2209]
+    assert np.abs(engine.large[0].eigs() - w).max() < 1e-12
 
 
 # Identical blocks are grouped into classes and solved once.  Every count and
