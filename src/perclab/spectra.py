@@ -10,10 +10,10 @@ A - (E -/+ tau)*Id, with a fall back to eigvalsh whenever a pivot lands within
 tolerance of zero; the block is counted from that spectrum from then on.
 Sparse LU orders a block once, at its first energy, and writes each later
 shift into the diagonal of the ordered copy in place.  Shifts beyond the norm
-bound are not factored at all.  Where floating point is not good enough, exact
+bound are not factored at all.  Where floating point cannot decide, exact
 integer routines take over: jump multiplicities by sparse fraction-free
-elimination on the engine's edge lists (no dense matrix is built), and
-characteristic polynomials for the log-Holder machinery.
+elimination on the edge lists of the classes with an eigenvalue near E
+(BlockSpectra.kernel_dim), and characteristic polynomials for log-Holder.
 
 A realization has many cluster blocks but few distinct ones, so BlockSpectra
 groups identical blocks, by a 64-bit key per block checked against the
@@ -56,6 +56,7 @@ VECTOR_RESIDUAL_RTOL = 1e-10
 DENSE_BLOCK_MAX = 2048    # counting engine: full spectra up to this size
 CHARPOLY_GUARD = 64
 EXACT_DIM_GUARD = 4096
+KERNEL_FILTER_RTOL = 1e-6  # kernel_dim's margin, times max(1, norm bound)
 ASSIGNMENT_GUARD = 10 ** 6
 WITNESS_SITE_GUARD = 10 ** 8  # most witness sites a catalog's entries may list
 _CATALOG_STACK = 1 << 16  # matrix entries per batched eigvalsh in the catalog
@@ -412,10 +413,16 @@ class BlockSpectra:
         return out
 
     @functools.cached_property
+    def _spectra(self) -> list:
+        """Per entry of _classes, its _eigvals, or None beyond DENSE_BLOCK_MAX."""
+        return [self._eigvals(size, reps) if size <= DENSE_BLOCK_MAX else None
+                for size, reps, _ in self._classes]
+
+    @functools.cached_property
     def small_eigs(self) -> np.ndarray:
         """Ascending eigenvalues, with multiplicity, of every block up to DENSE_BLOCK_MAX."""
-        parts = [np.repeat(self._eigvals(size, reps), mult, axis=0).ravel()
-                 for size, reps, mult in self._classes if size <= DENSE_BLOCK_MAX]
+        parts = [np.repeat(w, mult, axis=0).ravel()
+                 for w, (_, _, mult) in zip(self._spectra, self._classes) if w is not None]
         return np.sort(np.concatenate(parts)) if parts else np.zeros(0)
 
     # -- counting -----------------------------------------------------------
@@ -439,13 +446,21 @@ class BlockSpectra:
     # -- exact multiplicities -----------------------------------------------
 
     def kernel_dim(self, energy) -> int:
-        """Exact dim ker(A - E) for rational E on an exact-integer matrix."""
+        """Exact dim ker(A - E) for rational E on an exact-integer matrix.
+
+        0 beyond the Gershgorin norm bound, compared exactly.  A class up to DENSE_BLOCK_MAX
+        is eliminated only with an _eigvals value within KERNEL_FILTER_RTOL * max(1, bound)
+        of float(E): 10^6 times the error, n eps |A| <= 5e-13 |A|, of backward stable eigvalsh/SVD.
+        """
         r, s = _as_rational(energy)
         if not self.matrix.exact:
             raise TypeError("exact kernel dimension requires an exact-integer matrix")
-        total = 0
-        for _, reps, mult in self._classes:
-            for b, k in zip(reps.tolist(), mult.tolist()):
+        if abs(Fraction(r, s)) > self.matrix.norm_bound:
+            return 0
+        margin, total = KERNEL_FILTER_RTOL * max(1.0, self.matrix.norm_bound), 0
+        for (_, reps, mult), w in zip(self._classes, self._spectra):
+            near = slice(None) if w is None else (np.abs(w - r / s) <= margin).any(axis=1)
+            for b, k in zip(reps[near].tolist(), mult[near].tolist()):
                 _, diag, ei, ej, ev = self._parts(b)
                 rows = [{i: s * int(d) - r} for i, d in enumerate(diag.tolist())]
                 for i, j, v in zip(ei.tolist(), ej.tolist(), ev.tolist()):
@@ -571,8 +586,8 @@ def kernel_dim_exact(matrix, energy) -> int:
     """dim ker(A - E) over the rationals, exactly, for rational E = r/s.
 
     n minus the rank of s*A - r*Id: block by block for an assembled matrix
-    (BlockSpectra.kernel_dim), as one block for a square integer array, which
-    need not be symmetric.
+    (BlockSpectra.kernel_dim, filtered), as one unfiltered block for a square
+    integer array, which need not be symmetric.
     """
     if isinstance(matrix, SymmetricOperatorMatrix):
         return BlockSpectra(matrix).kernel_dim(energy)

@@ -178,6 +178,23 @@ def test_box_beyond_the_site_guard_exit_4(tmp_path, capsys):
     assert err.startswith("error: resource-guard:") and err.count("\n") == 1
 
 
+def test_jumps_beyond_the_norm_bound_eliminate_nothing(tmp_path, capsys, monkeypatch):
+    # the L=40 giant block (5,211 sites) exceeds EXACT_DIM_GUARD, but no
+    # eigenvalue lies beyond the norm bound 4, so E = 5 needs no elimination
+    box = ["jumps", "--dim", "2", "--L", "40", "--p", "0.8", "--realizations", "1"]
+    assert run([*box, "--E", "2", "--out", str(tmp_path / "inside")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: resource-guard:") and err.count("\n") == 1
+
+    def refuse(rows):
+        raise AssertionError("eliminated beyond the norm bound")
+
+    monkeypatch.setattr("perclab.spectra._sparse_rank", refuse)
+    assert run([*box, "--E", "5", "--out", str(tmp_path / "beyond")]) == 0
+    with open(tmp_path / "beyond" / "jumps.csv", newline="") as fh:
+        assert [r["exact"] for r in csv.DictReader(fh)] == ["0"]
+
+
 def test_missing_distribution_exit_2(capsys):
     assert run(["ids", "--dim", "1", "--L", "10"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -365,6 +382,12 @@ GOLDEN = {
                                "--E", "-1", "--E", "0", "--E", "1", "--E", "2",
                                "--windows", "1e-6", "--realizations", "3", "--seed", "9"],
                               "1dd0569edfd88c754043b2ecdc0280885da6b24c5d06ad04206ccdee9bc2fe0f"),
+    # the same box at non-integer rationals, recorded before kernel_dim skipped
+    # the classes whose computed spectrum stays away from E
+    "jumps_rational": (["jumps", "--dim", "2", "--L", "8", "--p", "0.8", "--E", "1/2",
+                        "--E", "-3/2", "--E", "1/3", "--windows", "1e-6",
+                        "--realizations", "3", "--seed", "9"],
+                       "9cc5916337e1d9c3a98f4a026a2f2f2152d74990a23db952c00b7e5df7b142d8"),
     # recorded before neighbour lookup read an index table and clusters
     # were numbered from csgraph's component order
     "gn": (["gn", "--dim", "2", "--L", "40", "--p", "0.59", "--nmax", "10", "--realizations", "4"],

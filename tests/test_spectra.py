@@ -1,5 +1,6 @@
 """Spectral kernels: counting, exact arithmetic, catalogs, mirror states."""
 
+import collections
 import functools
 import itertools
 import math
@@ -19,6 +20,7 @@ from perclab import (AlgebraicNumber, Configuration, LatticeRegion,
                      eigs_dense, enumerate_connected_subgraphs,
                      kernel_dim_exact, luck_bound, mirror_embed,
                      sample_configuration, validate_kernel)
+from perclab import spectra
 from perclab.errors import PreconditionError, ResourceGuardError
 from perclab.operator import SymmetricOperatorMatrix
 from perclab.spectra import (CLUSTER_TOL, DENSE_BLOCK_MAX, EXACT_DIM_GUARD, BlockSpectra,
@@ -711,6 +713,129 @@ def test_exact_kernel_dim_on_empty_single_and_guarded_inputs():
     bigger = np.zeros((EXACT_DIM_GUARD + 1,) * 2, dtype=np.int8)
     with pytest.raises(ResourceGuardError):
         kernel_dim_exact(bigger, 0)
+
+
+# BlockSpectra.kernel_dim eliminates a class only when its computed spectrum
+# comes within KERNEL_FILTER_RTOL * max(1, norm bound) of E, and nothing beyond
+# the norm bound.  Adversarial energies for that filter, judged by the
+# unfiltered elimination (margin inf) and by sympy: exact eigenvalues, a
+# rational whose float is an eigenvalue, rationals within 1e-9 of irrational
+# eigenvalues (sqrt 2 and the golden ratio from paths of 3 and 4 sites),
+# rationals just inside and just outside the margin, and integer atoms near
+# 1000, where the margin grows with the norm bound.
+
+BIG_ATOMS = PotentialDistribution(atoms=((1000.0, 0.3), (1001.0, 0.3)), inactive_weight=0.4)
+TINY = Fraction(1, 10 ** 400)  # its float is 0.0
+
+FILTER_CASES = {  # name -> rng -> assembled matrix or square integer array
+    **{f"grouping_{name}": lambda rng, name=name: _assembled(rng, *GROUPING_CASES[name])
+       for name in ("two_atoms", "anisotropic")},  # the continuous law is not exact
+    **{f"exact_{name}": EXACT_CASES[name] for name in EXACT_CASES},
+    "big_atoms": lambda rng: _assembled(rng, BIG_ATOMS, adjacency_kernel(2), 4),
+    "paths_3_and_4": lambda rng: _matrix({(x,): 0.0 for x in (0, 1, 2, 4, 5, 6, 7)}, 8),
+}
+
+
+def _adversarial_energies(w, bound, rng):
+    """Rationals that probe the filter around the eigenvalues w of a matrix whose
+    norm bound is bound."""
+    w = np.unique(w)
+    margin = Fraction(spectra.KERNEL_FILTER_RTOL) * max(1, Fraction(bound))
+    ints = sorted({round(x) for x in w.tolist() if abs(x - round(x)) < 1e-9})
+    irrational = [x for x in w.tolist() if abs(x - round(x)) > 1e-6]
+    chosen = rng.permutation(irrational)[:6].tolist()
+    near = [Fraction(x).limit_denominator(10 ** 9) for x in chosen]
+    assert all(abs(float(q) - x) <= 1e-9 for q, x in zip(near, chosen))
+    out = [TINY, -TINY, Fraction(bound), Fraction(bound) + TINY, -Fraction(bound) - TINY]
+    for lam in rng.permutation(ints)[:3].tolist():
+        out += [Fraction(lam)] + [lam + sign * margin * f for sign in (-1, 1)
+                                  for f in (Fraction(999, 1000), Fraction(1001, 1000))]
+    return out + near
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_CASES))
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_filtered_kernel_dim_matches_unfiltered_elimination_and_sympy(name, seed):
+    rng = np.random.default_rng(seed)
+    a = FILTER_CASES[name](rng)
+    if isinstance(a, np.ndarray):
+        # arrays are eliminated whole: a margin of 0 would miss their eigenvalues
+        w = np.real(np.linalg.eigvals(a)) if len(a) else np.zeros(0)
+        energies = sorted({Fraction(round(x)) for x in w.tolist() if abs(x - round(x)) < 1e-9})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "KERNEL_FILTER_RTOL", 0.0)
+            for e in energies:
+                assert kernel_dim_exact(a, e) == _nullity_oracle(a.tolist(), e)
+        return
+    subs = [a.submatrix(b) for b in a.blocks()]
+    w = np.concatenate([np.linalg.eigvalsh(sub.to_dense()) for sub in subs] + [np.zeros(0)])
+    energies = _adversarial_energies(w, a.norm_bound, rng)
+    filtered = [BlockSpectra(a).kernel_dim(e) for e in energies]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "KERNEL_FILTER_RTOL", math.inf)
+        engine = BlockSpectra(a)
+        assert [engine.kernel_dim(e) for e in energies] == filtered
+    if max(map(len, a.blocks()), default=0) <= 30:
+        blocks = collections.Counter(tuple(map(tuple, sub.to_dense_int())) for sub in subs)
+        assert filtered == [sum(k * _nullity_oracle(rows, e) for rows, k in blocks.items())
+                            for e in energies]
+    # an exact eigenvalue keeps its full multiplicity; every other probe is 0
+    for e, k in zip(energies, filtered):
+        assert k == (int((np.abs(w - float(e)) < 1e-8).sum()) if e.denominator == 1 else 0)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Every _sparse_rank call, by the dimension of the block it eliminated."""
+    calls, rank = [], spectra._sparse_rank
+
+    def counting(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(spectra, "_sparse_rank", counting)
+    return calls
+
+
+def test_the_filter_fires_on_the_d2_exact_shape(eliminations, monkeypatch):
+    # d=2, L=8, p=0.8 at E = -2..2: every class is eliminated unless the filter
+    # clears it, so a dead filter would make one call per (class, energy)
+    region = LatticeRegion.box(2, 8, 2)
+    engines = [BlockSpectra(assemble(sample_configuration(bernoulli_distribution(0.8), region,
+                                                          1000, r), adjacency_kernel(2)))
+               for r in range(3)]
+    energies = [Fraction(e) for e in range(-2, 3)]
+    filtered = [[engine.kernel_dim(e) for e in energies] for engine in engines]
+    pairs = sum(len(reps) for engine in engines for _, reps, _ in engine._classes) * len(energies)
+    assert 0 < len(eliminations) < pairs
+    del eliminations[:]
+    monkeypatch.setattr(spectra, "KERNEL_FILTER_RTOL", math.inf)
+    assert [[engine.kernel_dim(e) for e in energies] for engine in engines] == filtered
+    assert len(eliminations) == pairs
+
+
+def test_the_margin_decides_which_classes_are_eliminated(eliminations):
+    engine = BlockSpectra(dimer())  # eigenvalues -1 and 1, norm bound 2
+    margin = Fraction(spectra.KERNEL_FILTER_RTOL) * 2
+    for e, calls in ((1, 1), (1 + margin * Fraction(999, 1000), 1),
+                     (1 + margin * Fraction(1001, 1000), 0), (-1 - margin / 2, 1),
+                     (Fraction(1, 2), 0), (TINY, 0)):
+        del eliminations[:]
+        assert engine.kernel_dim(e) == int(abs(e) == 1)
+        assert len(eliminations) == calls, e
+
+
+def test_no_block_is_eliminated_beyond_the_norm_bound(monkeypatch):
+    def refuse(rows):
+        raise AssertionError(f"eliminated a block of dimension {len(rows)}")
+
+    monkeypatch.setattr(spectra, "_sparse_rank", refuse)
+    m, _ = _free_box(2, 23)  # one 2,209-site block beyond DENSE_BLOCK_MAX, norm bound 4
+    engine = BlockSpectra(m)
+    assert len(engine.large) == 1 and m.norm_bound == 4
+    for e in (Fraction(4) + TINY, -Fraction(4) - TINY, Fraction(9, 2), Fraction(-5)):
+        assert engine.kernel_dim(e) == 0
 
 
 def test_import_perclab_leaves_sympy_out():
