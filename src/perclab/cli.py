@@ -348,11 +348,9 @@ def _cmd_mirror(args, started):
             region = LatticeRegion.explicit(sites, collar=0)
             config = Configuration(region, np.zeros(len(region)))
             sample = eigs_dense(assemble(config, kernel, region.core_indices), vectors=True)
-            for k, energy in enumerate(sample.values):
-                f = {tuple(s): float(sample.vectors[i, k])
-                     for i, s in enumerate(region.sites.tolist())}
-                _, _, g, resid = mirror_embed(sites, q_plus, f, float(energy), kernel)
-                ratio = float(g @ g)  # f is normalized, so this should be 2
+            _, _, g, residuals = mirror_embed(sites, q_plus, sample.vectors, sample.values, kernel)
+            for k, (energy, resid) in enumerate(zip(sample.values, residuals)):
+                ratio = float(g[:, k] @ g[:, k])  # f is normalized, so this should be 2
                 rows.append((f"{energy:.17g}", str(size), str(k),
                              f"{resid:.3e}", f"{ratio:.17g}"))
     extra = {"dim": args.dim, "maxsize": args.maxsize}

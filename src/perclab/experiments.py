@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Sequence
@@ -549,11 +549,8 @@ def convergence_study(params: ExperimentParams, halfwidths: Sequence[int]) -> Co
     ids = {}
     for L in halfwidths:
         for restriction in RESTRICTIONS:
-            sub = ExperimentParams(params.dim, params.kernel, params.dist, L,
-                                   grid=params.grid, realizations=params.realizations,
-                                   seed=params.seed, restriction=restriction,
-                                   workers=params.workers)
-            ids[(L, restriction)] = estimate_ids(sub)
+            ids[(L, restriction)] = estimate_ids(
+                replace(params, halfwidth=L, restriction=restriction))
     cauchy = []
     for restriction in RESTRICTIONS:
         for la, lb in zip(halfwidths, halfwidths[1:]):

@@ -935,23 +935,24 @@ def cluster_spectrum_catalog(catalog: SubgraphCatalog, atom_values=(0.0,)) -> Fi
 # mirror-charge embedding
 
 
-def mirror_embed(support, q_on_splus, f, energy, kernel: Optional[HoppingKernel] = None):
-    """Embed a finitely supported eigenstate into a doubled configuration.
+def mirror_embed(support, q_on_splus, f, energies, kernel: Optional[HoppingKernel] = None):
+    """Embed every finitely supported eigenstate of one support into a doubled
+    configuration, with one assembly of the support + halo and one of the result.
 
-    q_on_splus must give the potential on the support and on its stencil
-    halo (model.stencil_halo).  The input is checked first: with f zero off
-    the support, H f = E f on every support site and on every active halo
-    site of the assembled support + halo.
+    Column j of the (n, k) array f is a state with energy energies[j], over the
+    n distinct support sites in sorted order (eigs_dense's row order).
+    q_on_splus must give the potential on the support and on its stencil halo
+    (model.stencil_halo).  Each column is checked first, in order: with f_j zero
+    off the support, H f_j = E_j f_j within 1e-12 (1 + |E_j|) max(1, max|f_j|)
+    on each support site in the given order, then each active halo site sorted.
 
     Reflects the potential across the empty column x1 = a - 1 (a the minimal
-    first coordinate of the support) and extends the state antisymmetrically,
-    with value 0 on the reflection axis.  The result is verified: the
-    assembled restriction satisfies H g = E g on every active site and
-    ||g||^2 doubles.
-
-    Returns (region, configuration, g, residual) with g aligned to the row
-    order of assemble(configuration, kernel, all region sites) and residual
-    the 2-norm of H g - E g on that assembly.
+    first coordinate of the support) and extends each state antisymmetrically,
+    with value 0 on the reflection axis.  The result is verified: H g_j = E_j g_j
+    on every active site of the assembled restriction and ||g_j||^2 doubles.
+    Returns (region, configuration, g, residuals): g is (m, k) in the row order
+    of assemble(configuration, kernel, all region sites), one contiguous column
+    per state, and residuals[j] is the 2-norm of H g_j - E_j g_j.
     """
     support = [tuple(int(x) for x in s) for s in support]
     if not support:
@@ -963,11 +964,22 @@ def mirror_embed(support, q_on_splus, f, energy, kernel: Optional[HoppingKernel]
         raise PreconditionError("mirror embedding requires a range-1 kernel")
     if kernel.dim != dim:
         raise PreconditionError("kernel dimension does not match the support")
+    sites = sorted(set(support))
+    try:
+        energies = np.asarray(energies, dtype=np.float64)
+        f = np.asarray(f, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"f and energies must be numeric arrays: {exc}") from None
+    if energies.ndim != 1 or f.shape != (len(sites), len(energies)):
+        raise PreconditionError(f"f must be shaped (support sites, energies) = "
+                                f"({len(sites)}, {energies.size}), got {f.shape}")
+    if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(f))):
+        raise PreconditionError("energies and f must be finite")
     q = {tuple(int(x) for x in k): float(v) for k, v in q_on_splus.items()}
-    fval = {tuple(int(x) for x in k): float(v) for k, v in f.items()}
-    energy = float(energy)
-    fmax = max((abs(v) for v in fval.values()), default=0.0)
-    tol = 1e-12 * (1.0 + abs(energy)) * max(1.0, fmax)
+    nan = [k for k, v in q.items() if math.isnan(v)]
+    if nan:
+        raise PreconditionError(f"potential at {nan[0]} is NaN")
+    tol = 1e-12 * (1.0 + np.abs(energies)) * np.maximum(1.0, np.abs(f).max(axis=0))
 
     halo = stencil_halo(support, kernel)
     missing = [s for s in support + halo if s not in q]
@@ -982,57 +994,49 @@ def mirror_embed(support, q_on_splus, f, energy, kernel: Optional[HoppingKernel]
     values = np.array([q[tuple(s)] for s in patch.sites.tolist()])
     local = assemble(Configuration(patch, values), kernel)
     row_of = {tuple(s): i for i, s in enumerate(local.sites.tolist())}
-    fvec = np.zeros(local.dim)
-    for s in support:
-        fvec[row_of[s]] = fval.get(s, 0.0)
-    resid = local.to_sparse() @ fvec - energy * fvec
-    for s in support:
-        if abs(resid[row_of[s]]) > tol:
-            raise PreconditionError(
-                f"f is not an eigenvector at energy {energy}: residual at {s}")
-    for t in halo:
-        if t in row_of and abs(resid[row_of[t]]) > tol:
-            raise PreconditionError(
-                f"nonzero coupling residual at active site {t} outside the support")
+    fvec = np.zeros((local.dim, len(energies)))
+    fvec[[row_of[s] for s in sites]] = f
+    bad = ~(np.abs(local.to_sparse() @ fvec - fvec * energies) <= tol)
+    for j in np.flatnonzero(bad.any(axis=0))[:1]:  # the first failing column
+        for s in support:
+            if bad[row_of[s], j]:
+                raise PreconditionError(
+                    f"f is not an eigenvector at energy {energies[j]}: residual at {s}")
+        for t in halo:
+            if t in row_of and bad[row_of[t], j]:
+                raise PreconditionError(
+                    f"nonzero coupling residual at active site {t} outside the support")
 
     a = min(s[0] for s in support)
-    axis = a - 1
 
     def reflect(site):
-        return (2 * axis - site[0],) + site[1:]
+        return (2 * (a - 1) - site[0],) + site[1:]
 
     s_plus = {k: v for k, v in q.items() if k[0] >= a}
-    assignments = dict(s_plus)
-    for k, v in s_plus.items():
-        assignments[reflect(k)] = v
-
-    pts = np.array(sorted(assignments), dtype=np.int64)
-    lo = pts.min(axis=0) - 1
-    hi = pts.max(axis=0) + 1
-    axes = [np.arange(lo[k], hi[k] + 1, dtype=np.int64) for k in range(dim)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    region = LatticeRegion.explicit([tuple(s) for s in grid.tolist()], collar=0)
-
+    assignments = {**s_plus, **{reflect(k): v for k, v in s_plus.items()}}
+    pts = np.array(list(assignments), dtype=np.int64)
+    lo, hi = pts.min(axis=0) - 1, pts.max(axis=0) + 1
+    grid = np.indices(hi - lo + 1).reshape(dim, -1).T + lo
+    region = LatticeRegion.explicit(grid.tolist(), collar=0)
     values = np.zeros(len(region))
-    index = region.site_index()
-    for k, v in assignments.items():
-        values[index[k]] = v
+    values[[region.index_of(k) for k in assignments]] = list(assignments.values())
     values.setflags(write=False)
     config = Configuration(region, values)
 
     matrix = assemble(config, kernel, region.core_indices)
-    g = np.zeros(matrix.dim)
     row_of = {tuple(s): i for i, s in enumerate(matrix.sites.tolist())}
-    for s in support:
-        v = fval.get(s, 0.0)
-        g[row_of[s]] = v
-        g[row_of[reflect(s)]] = -v
-
-    rnorm = float(np.linalg.norm(matrix.to_sparse() @ g - energy * g))
-    if rnorm > tol:
-        raise InternalCheckError(f"mirror construction residual {rnorm:.3e}")
-    f2 = sum(v * v for v in fval.values())
-    g2 = float(g @ g)
-    if abs(g2 - 2.0 * f2) > 1e-12 * max(1.0, 2.0 * f2):
-        raise InternalCheckError("mirrored state norm is not doubled")
-    return region, config, g, rnorm
+    # one contiguous column per state, so g[:, j] @ g[:, j] rounds as for a vector
+    g = np.zeros((matrix.dim, len(energies)), order="F")
+    g[[row_of[s] for s in sites]] = f
+    g[[row_of[reflect(s)] for s in sites]] = -f
+    hg = matrix.to_sparse() @ g
+    # one norm per column: a norm along an axis may round differently
+    residuals = np.array([np.linalg.norm(hg[:, j] - e * g[:, j])
+                          for j, e in enumerate(energies.tolist())])
+    for j, rnorm in enumerate(residuals.tolist()):
+        if not rnorm <= tol[j]:
+            raise InternalCheckError(f"mirror construction residual {rnorm:.3e}")
+        f2 = float(f[:, j] @ f[:, j])
+        if abs(float(g[:, j] @ g[:, j]) - 2.0 * f2) > 1e-12 * max(1.0, 2.0 * f2):
+            raise InternalCheckError("mirrored state norm is not doubled")
+    return region, config, g, residuals

@@ -256,14 +256,13 @@ def test_criterion_12_mirror_charge_for_catalog_states():
             region = LatticeRegion.explicit(sites, collar=0)
             sample = eigs_dense(assemble(Configuration(region, np.zeros(len(region))),
                                          K2, region.core_indices), vectors=True)
-            for k, energy in enumerate(sample.values):
-                f = {tuple(s): float(sample.vectors[j, k])
-                     for j, s in enumerate(region.sites.tolist())}
-                mregion, mconfig, g, resid = mirror_embed(sites, q_plus, f, float(energy), K2)
-                matrix = assemble(mconfig, K2, mregion.core_indices)
-                assert np.linalg.norm(matrix.to_sparse() @ g - float(energy) * g) == resid
-                assert resid <= 1e-12 * (1 + abs(float(energy)))
-                assert float(g @ g) == pytest.approx(2.0, abs=1e-12)
+            mregion, mconfig, g, residuals = mirror_embed(sites, q_plus, sample.vectors,
+                                                          sample.values, K2)
+            h = assemble(mconfig, K2, mregion.core_indices).to_sparse()
+            for k, (energy, resid) in enumerate(zip(sample.values.tolist(), residuals)):
+                assert np.linalg.norm(h @ g[:, k] - energy * g[:, k]) == resid
+                assert resid <= 1e-12 * (1 + abs(energy))
+                assert float(g[:, k] @ g[:, k]) == pytest.approx(2.0, abs=1e-12)
                 embedded += 1
     assert embedded == sum(s * len(shapes.classes(s)) for s in range(1, 5))
     _pass(12, f"{embedded} eigenstates embedded; residuals <= 1e-12 (1+|E|), norms doubled")

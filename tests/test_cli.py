@@ -419,6 +419,9 @@ GOLDEN = {
                                '{"offsets": [[[1,0],1],[[-1,0],1],[[0,1],-2],[[0,-1],-2],'
                                '[[0,0],0.5]]}'],
                               "b2ea196b7612adceaefc93bf92f656f9b94b4bb7272a6d380282f140dec9b15d"),
+    # recorded before mirror_embed took every state of a shape in one call
+    "mirror_d2_maxsize_6": (["mirror", "--dim", "2", "--maxsize", "6"],
+                            "deca051054840e3a0683eda21cf8deb4bdcdcf82b409b4baa574de52831b1f67"),
 }
 
 ANISOTROPIC_RANGE_2 = json.dumps({"offsets": [

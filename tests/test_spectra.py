@@ -22,6 +22,7 @@ from perclab import (AlgebraicNumber, Configuration, LatticeRegion,
                      sample_configuration, validate_kernel)
 from perclab import spectra
 from perclab.errors import PreconditionError, ResourceGuardError
+from perclab.model import stencil_halo
 from perclab.operator import SymmetricOperatorMatrix
 from perclab.spectra import (CLUSTER_TOL, DENSE_BLOCK_MAX, EXACT_DIM_GUARD, BlockSpectra,
                              _exact_groups, _group_heads)
@@ -1139,49 +1140,140 @@ def test_catalog_matches_the_one_set_and_one_matrix_at_a_time_oracles(kernel, ma
 
 
 def test_mirror_dimer_state():
+    # the bonding state at E = 1 and the antibonding one at E = -1, one per column
     q = {(-1,): INF, (0,): 0.0, (1,): 0.0, (2,): INF}
-    f = {(0,): 1 / math.sqrt(2), (1,): 1 / math.sqrt(2)}
-    region, config, g, resid = mirror_embed([(0,), (1,)], q, f, 1.0)
-    m = assemble(config, adjacency_kernel(1), region.core_indices)
-    by_site = {tuple(s): v for s, v in zip(m.sites.tolist(), g.tolist())}
     r = 1 / math.sqrt(2)
-    assert by_site[(0,)] == pytest.approx(r)
-    assert by_site[(1,)] == pytest.approx(r)
-    assert by_site[(-2,)] == pytest.approx(-r)
-    assert by_site[(-3,)] == pytest.approx(-r)
-    assert by_site[(-1,)] == 0.0
-    assert np.linalg.norm(m.to_sparse() @ g - 1.0 * g) == resid <= 1e-12 * 2
-    assert g @ g == pytest.approx(2 * (f[(0,)] ** 2 + f[(1,)] ** 2))
+    f = np.array([[r, r], [r, -r]])
+    region, config, g, resid = mirror_embed([(0,), (1,)], q, f, [1.0, -1.0])
+    m = assemble(config, adjacency_kernel(1), region.core_indices)
+    assert g.shape == (m.dim, 2) and resid.shape == (2,)
+    for k, (energy, sign) in enumerate(((1.0, 1.0), (-1.0, -1.0))):
+        by_site = {tuple(s): v for s, v in zip(m.sites.tolist(), g[:, k].tolist())}
+        assert by_site[(0,)] == pytest.approx(r)
+        assert by_site[(1,)] == pytest.approx(sign * r)
+        assert by_site[(-2,)] == pytest.approx(-r)
+        assert by_site[(-3,)] == pytest.approx(-sign * r)
+        assert by_site[(-1,)] == 0.0
+        assert np.linalg.norm(m.to_sparse() @ g[:, k] - energy * g[:, k]) == resid[k] <= 1e-12 * 2
+        assert g[:, k] @ g[:, k] == pytest.approx(2 * (f[0, k] ** 2 + f[1, k] ** 2))
 
 
 def test_mirror_delta_state():
     region, config, g, resid = mirror_embed([(0,)], {(-1,): INF, (0,): 0.0, (1,): INF},
-                                            {(0,): 1.0}, 0.0)
+                                            [[1.0]], [0.0])
     m = assemble(config, adjacency_kernel(1), region.core_indices)
-    by_site = {tuple(s): v for s, v in zip(m.sites.tolist(), g.tolist())}
+    by_site = {tuple(s): v for s, v in zip(m.sites.tolist(), g[:, 0].tolist())}
     assert by_site[(0,)] == 1.0 and by_site[(-2,)] == -1.0
-    assert resid == 0.0
+    assert resid.tolist() == [0.0]
     # the axis site is active with finite potential
     axis = config.values[region.index_of((-1,))]
     assert math.isfinite(axis)
 
 
 def test_mirror_rejects_non_eigenvector():
-    # both sites fail; the first one reported is the first in the given order
+    # both sites fail; the first one reported is the first in the given order,
+    # in the first failing column, whose energy is named
     q = {(-1,): INF, (0,): 0.0, (1,): 0.0, (2,): INF}
-    for support in ([(0,), (1,)], [(1,), (0,)]):
-        with pytest.raises(PreconditionError) as info:
-            mirror_embed(support, q, {(0,): 1.0, (1,): 0.0}, 1.0)
-        assert str(info.value) == f"f is not an eigenvector at energy 1.0: residual at {support[0]}"
+    r = 1 / math.sqrt(2)
+    for f, energies, energy in (([[1.0], [0.0]], [1.0], 1.0),
+                                ([[r, 1.0], [r, 0.0]], [1.0, 0.5], 0.5)):
+        for support in ([(0,), (1,)], [(1,), (0,)]):
+            with pytest.raises(PreconditionError) as info:
+                mirror_embed(support, q, f, energies)
+            assert str(info.value) == (f"f is not an eigenvector at energy {energy}: "
+                                       f"residual at {support[0]}")
 
 
 def test_mirror_rejects_active_site_with_coupling():
     # site 2, and site -1 when open, are active but coupled; halo sites are
     # reported in sorted order
-    f = {(0,): 1 / math.sqrt(2), (1,): 1 / math.sqrt(2)}
+    f = np.full((2, 1), 1 / math.sqrt(2))
     for left, first in ((INF, (2,)), (0.0, (-1,))):
         q = {(-1,): left, (0,): 0.0, (1,): 0.0, (2,): 0.0}
         with pytest.raises(PreconditionError) as info:
-            mirror_embed([(1,), (0,)], q, f, 1.0)
+            mirror_embed([(1,), (0,)], q, f, [1.0])
         assert str(info.value) == (f"nonzero coupling residual at active site {first} "
                                    "outside the support")
+
+
+DIMER_Q = {(-1,): INF, (0,): 0.0, (1,): 0.0, (2,): INF}
+DIMER_F = np.full((2, 1), 1 / math.sqrt(2))
+
+
+@pytest.mark.parametrize("q, f, energies, message", [
+    (DIMER_Q, DIMER_F, [float("nan")], "energies and f must be finite"),
+    (DIMER_Q, DIMER_F, [INF], "energies and f must be finite"),
+    (DIMER_Q, DIMER_F, [-INF], "energies and f must be finite"),
+    (DIMER_Q, [[1 / math.sqrt(2)], [float("nan")]], [1.0], "energies and f must be finite"),
+    (DIMER_Q, [[INF], [INF]], [1.0], "energies and f must be finite"),
+    ({**DIMER_Q, (0,): float("nan")}, DIMER_F, [1.0], r"potential at \(0,\) is NaN"),
+    ({**DIMER_Q, (2,): float("nan")}, DIMER_F, [1.0], r"potential at \(2,\) is NaN"),
+    ({**DIMER_Q, (5,): float("nan")}, DIMER_F, [1.0], r"potential at \(5,\) is NaN"),
+])
+def test_mirror_rejects_non_finite_input(q, f, energies, message):
+    # every residual comparison is False against NaN, so these must be refused
+    # up front: a NaN on the support is not "closed", nor one on the halo open
+    with pytest.raises(PreconditionError, match=message):
+        mirror_embed([(0,), (1,)], q, f, energies)
+
+
+@pytest.mark.parametrize("f, energies", [
+    (DIMER_F[:, 0], [1.0]),                     # one state as a vector
+    (np.hstack([DIMER_F, DIMER_F]), [1.0]),     # more states than energies
+    (np.zeros((2, 0)), [1.0]),                  # no state for the one energy
+    (DIMER_F[:1], [1.0]),                       # fewer rows than support sites
+    (np.vstack([DIMER_F, DIMER_F]), [1.0]),     # more rows than support sites
+    (DIMER_F, 1.0),                             # a scalar energy
+    (DIMER_F, [[1.0]]),                         # energies not 1-d
+    ([[0.5], [0.5, 0.5]], [1.0]),               # ragged
+    ({(0,): 0.5, (1,): 0.5, (7,): 0.5}, [1.0]),  # the old {site: value} form
+])
+def test_mirror_refuses_misshaped_states(f, energies):
+    with pytest.raises(PreconditionError):
+        mirror_embed([(0,), (1,)], DIMER_Q, f, energies)
+
+
+def test_mirror_with_no_states_returns_an_empty_block():
+    # a repeated support site is one row of f
+    region, config, g, resid = mirror_embed([(1,), (0,), (1,)], DIMER_Q, np.zeros((2, 0)), [])
+    m = assemble(config, adjacency_kernel(1), region.core_indices)
+    assert g.shape == (m.dim, 0) and resid.shape == (0,)
+
+
+def _shape_states(sites, kernel):
+    region = LatticeRegion.explicit(sites, collar=0)
+    config = Configuration(region, np.zeros(len(region)))
+    sample = eigs_dense(assemble(config, kernel, region.core_indices), vectors=True)
+    q = {s: 0.0 for s in sites}
+    q.update((t, INF) for t in stencil_halo(sites, kernel))
+    return q, sample
+
+
+def test_mirror_assembles_twice_per_shape(monkeypatch):
+    k2 = adjacency_kernel(2)
+    sites = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)]
+    q, sample = _shape_states(sites, k2)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "assemble", counting)
+    _, _, g, resid = mirror_embed(sites, q, sample.vectors, sample.values, k2)
+    assert g.shape[1] == len(resid) == len(sites) >= 2
+    assert len(calls) == 2
+
+
+def test_mirror_columns_equal_one_state_at_a_time():
+    # the block embedding gives each state the bits it gets on its own
+    k2 = adjacency_kernel(2)
+    sites = [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 1)]
+    q, sample = _shape_states(sites, k2)
+    _, _, g, resid = mirror_embed(sites, q, sample.vectors, sample.values, k2)
+    assert g.flags.f_contiguous
+    for k in range(len(sites)):
+        _, _, gk, rk = mirror_embed(sites, q, sample.vectors[:, [k]], sample.values[[k]], k2)
+        assert gk[:, 0].tobytes() == g[:, k].tobytes()
+        assert rk[0].tobytes() == resid[k].tobytes()
+        assert (gk[:, 0] @ gk[:, 0]).tobytes() == (g[:, k] @ g[:, k]).tobytes()
