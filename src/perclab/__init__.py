@@ -14,8 +14,8 @@ from .percolation import (ClusterLabeling, SubgraphCatalog, connected_region,
                           label_clusters)
 from .spectra import (AlgebraicNumber, BlockSpectra, FiniteSpectrumCatalog,
                       SpectrumSample, algebraic_constant, charpoly_exact,
-                      cluster_spectrum_catalog, count_below, eigs_dense,
-                      kernel_dim_exact, luck_bound, mirror_embed)
+                      cluster_spectrum_catalog, eigs_dense, kernel_dim_exact,
+                      luck_bound, mirror_embed)
 from .experiments import (DEFAULTS, ClusterDensityProfile, EmpiricalIDS,
                           ExperimentParams, JumpEstimate, WegnerReport,
                           cluster_density_profile, continuity_probe,

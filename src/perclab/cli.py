@@ -36,7 +36,7 @@ from .operator import assemble
 from .percolation import enumerate_connected_subgraphs
 from .spectra import AlgebraicNumber, cluster_spectrum_catalog, eigs_dense, mirror_embed
 
-GRID_MAX_STEPS = 10 ** 6  # most points a --grid may ask for
+GRID_MAX_STEPS = 10 ** 6  # most points a --grid may ask for, and most --nmax rows
 DIM_MAX = max(d for d in range(1, 64) if 3 ** d <= BOX_SITE_MAX)  # 14
 
 
@@ -284,6 +284,8 @@ def _cmd_jumps(args, started):
 
 
 def _cmd_gn(args, started):
+    if args.nmax > GRID_MAX_STEPS:
+        raise PreconditionError(f"--nmax {args.nmax} exceeds {GRID_MAX_STEPS} rows")
     params = _params(args)
     prof = cluster_density_profile(params, args.nmax)
     return _finish(args, "gn", prof.to_csv_rows(), started, params.describe())

@@ -376,6 +376,8 @@ def wegner_experiment(params: ExperimentParams, intervals: Sequence, a: float,
     realizations serves every interval; returns one WegnerReport each.
     """
     intervals = [(float(lo), float(hi)) for lo, hi in intervals]
+    if not all(map(math.isfinite, [a, b] + [x for ends in intervals for x in ends])):
+        raise PreconditionError("a, b and every interval end must be finite")
     if not intervals or any(not lo < hi for lo, hi in intervals):
         raise PreconditionError("need intervals of positive length")
     s_plus = params.kernel.norm_bound
@@ -395,8 +397,10 @@ def wegner_experiment(params: ExperimentParams, intervals: Sequence, a: float,
     f_sup = params.dist.density_sup_in(wlo, whi)
     box_size = params.region().n_core
 
-    out = _engine_rows(params, lambda engine: [float(engine.count_in_closed(lo, hi))
-                                               for lo, hi in intervals])
+    # eigenvalues in [lo, hi] widened by tau: one count call per end, all intervals at once
+    los, his = np.array(intervals).T
+    out = _engine_rows(params, lambda engine: (engine.counts_below(his, inclusive=True)
+                                               - engine.counts_below(los)).astype(float).tolist())
     reports = []
     for j, ((lo, hi), delta) in enumerate(zip(intervals, deltas)):
         constant = (2 ** (params.dim + 2)

@@ -179,8 +179,9 @@ class PotentialDistribution:
         if abs(total - 1.0) > 1e-12:
             raise PreconditionError(f"weights sum to {total!r}, expected 1")
         for lo, hi, _ in self.pieces:
-            if not lo < hi:
-                raise PreconditionError(f"piece [{lo}, {hi}] is empty")
+            # a finite width also rules out infinite ends, which would sample NaN
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise PreconditionError(f"piece [{lo}, {hi}] needs finite lo < hi")
         spans = sorted((lo, hi) for lo, hi, _ in self.pieces)
         for (alo, ahi), (blo, bhi) in zip(spans, spans[1:]):
             if blo < ahi:

@@ -1,13 +1,13 @@
 """Spectral kernels.
 
-Counting has one definition on every route, with tau = CLUSTER_TOL:
-N(E) = #{lambda < E - tau} and, inclusive, N<=(E) = #{lambda <= E + tau}.
-Blocks up to DENSE_BLOCK_MAX are diagonalized (a bipartite block with one
-diagonal value c as c -/+ the singular values of its off-diagonal block) and
-counted against the shifted energy.  Larger blocks read the count off the
-inertia of a symmetric factorization (Sturm recurrence or sparse LU) of
-A - (E -/+ tau)*Id, with a fall back to eigvalsh whenever a pivot lands within
-tolerance of zero; the block is counted from that spectrum from then on.
+Counting has one entry point, BlockSpectra.counts_below, which states the one
+definition every route computes.  Blocks up to DENSE_BLOCK_MAX are
+diagonalized (a bipartite block with one diagonal value c as c -/+ the
+singular values of its off-diagonal block) and counted against the shifted
+energy.  Larger blocks read the count off the inertia of a symmetric
+factorization (Sturm recurrence or sparse LU) of A - (E -/+ tau)*Id, with a
+fall back to eigvalsh whenever a pivot lands within tolerance of zero; the
+block is counted from that spectrum from then on.
 Sparse LU orders a block once, at its first energy, and writes each later
 shift into the diagonal of the ordered copy in place.  Shifts beyond the norm
 bound are not factored at all.  Where floating point cannot decide, exact
@@ -17,8 +17,9 @@ elimination on the edge lists of the classes with an eigenvalue near E
 
 A realization has many cluster blocks but few distinct ones, so BlockSpectra
 groups identical blocks, by a 64-bit key per block checked against the
-block's bits, and solves one representative per class, weighting it by the
-class size.  No block result is cached across calls or realizations.
+block's bits, and solves one representative per class on every route (dense,
+Sturm, sparse LU, exact, projector), weighting it by the class size.  No
+block result is cached across calls or realizations.
 
 The finite-cluster catalog builds the hopping matrices of all subgraph
 classes of one size at once from their pair offsets and diagonalizes them in
@@ -165,17 +166,6 @@ def _tridiagonal_form(sub: SymmetricOperatorMatrix):
     return None
 
 
-def count_below(matrix: SymmetricOperatorMatrix, energy: float, inclusive: bool = False) -> int:
-    """N(E) = #{lambda < E - tau}, or N<=(E) = #{lambda <= E + tau} when inclusive.
-
-    tau = CLUSTER_TOL, so eigenvalues within tau of E count as at E whichever
-    route a block takes; see BlockSpectra.
-    """
-    if not np.isfinite(energy):
-        raise PreconditionError("energy must be finite")
-    return BlockSpectra(matrix).count_below(float(energy), inclusive)
-
-
 # ---------------------------------------------------------------------------
 # per-configuration counting engine
 
@@ -188,10 +178,12 @@ class _LargeBlock:
     order (MMD on A + A^T); the copy is then permuted into that order once, and
     every later shift is factored in its natural order.  Once a pivot has
     aborted to the dense spectrum, the block is counted from that spectrum.
+    It stands for the mult identical blocks of its class.
     """
 
-    def __init__(self, sub: SymmetricOperatorMatrix):
+    def __init__(self, sub: SymmetricOperatorMatrix, mult: int):
         self.sub = sub
+        self.mult = mult
         self._eigs = None
         self._tri = _tridiagonal_form(sub)
         self._csc = None  # (matrix, diagonal slots, diagonal values) in factor order
@@ -319,10 +311,11 @@ class BlockSpectra:
         self._ej_g = loc_of[matrix.off_j[eorder]]
         self._ev_g = matrix.off_v[eorder]
 
-        self.large = [_LargeBlock(SymmetricOperatorMatrix(
-            *self._parts(b), matrix.box_size, matrix.exact, matrix.norm_bound))
-            for b in np.flatnonzero(lens > DENSE_BLOCK_MAX)]
         self._classes, self._class_of = self._group(lens, ecount)
+        self.large = [_LargeBlock(SymmetricOperatorMatrix(
+            *self._parts(b), matrix.box_size, matrix.exact, matrix.norm_bound), k)
+            for size, reps, mult in self._classes if size > DENSE_BLOCK_MAX
+            for b, k in zip(reps.tolist(), mult.tolist())]
 
     @functools.cached_property
     def block_rows(self) -> list:
@@ -428,20 +421,17 @@ class BlockSpectra:
     # -- counting -----------------------------------------------------------
 
     def counts_below(self, energies, inclusive: bool = False) -> np.ndarray:
+        """Per energy E, N(E) = #{lambda < E - tau}, or N<=(E) = #{lambda <= E + tau}
+        when inclusive, with tau = CLUSTER_TOL on every route: eigenvalues within
+        tau of E count as at E.  The eigenvalues in [lo, hi], widened by tau on
+        both sides, are N<=(hi) - N(lo)."""
         energies = np.asarray(energies, dtype=np.float64)
         if np.isnan(energies).any():
             raise PreconditionError("energies must not be NaN")
         out = _counts_from_eigs(self.small_eigs, energies, inclusive).astype(np.int64)
         for lb in self.large:
-            out += lb.counts(energies, inclusive)
+            out += lb.mult * lb.counts(energies, inclusive)
         return out
-
-    def count_below(self, energy: float, inclusive: bool = False) -> int:
-        return int(self.counts_below(np.array([energy]), inclusive)[0])
-
-    def count_in_closed(self, lo: float, hi: float) -> int:
-        """Eigenvalues in the closed interval [lo, hi], widened by tau on both sides."""
-        return self.count_below(hi, inclusive=True) - self.count_below(lo, inclusive=False)
 
     # -- exact multiplicities -----------------------------------------------
 

@@ -106,6 +106,20 @@ BAD_ARGS = {
                              "--denom", "-2"],
     "denominator_negative_fraction": ["loghoelder", "--L", "2", "--p", "0.5",
                                       "--minpoly", "-2,0,1", "--denom", "-.5"],
+    # non-finite Wegner bounds used to write C = nan or inf, or exit 3
+    "wegner_bounds_infinite": ["wegner", "--L", "3", "--dist", ATOMLESS, "--a=-inf", "--b=inf",
+                               "--interval", "-0.5:0.5"],
+    "wegner_b_infinite": ["wegner", "--L", "3", "--dist", ATOMLESS, "--a", "-6", "--b", "inf",
+                          "--interval", "-0.5:0.5"],
+    "wegner_a_nan": ["wegner", "--L", "3", "--dist", ATOMLESS, "--a=nan", "--b", "6",
+                     "--interval", "-0.5:0.5"],
+    "wegner_interval_infinite": ["wegner", "--L", "3", "--dist", ATOMLESS, "--a", "-6",
+                                 "--b", "6", "--interval=-inf:0.5"],
+    # pieces that sampled NaN or inf potentials, closing every site
+    "dist_piece_infinite": ["ids", "--L", "3", "--dist", '{"pieces": [[0.0, Infinity, 1.0]]}'],
+    "dist_piece_overflowing_width": ["ids", "--L", "3",
+                                     "--dist", '{"pieces": [[-1e308, 1e308, 1.0]]}'],
+    "gn_nmax_beyond_rows": ["gn", "--L", "3", "--p", "0.5", "--nmax", "1000000000000"],
 }
 
 

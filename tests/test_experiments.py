@@ -13,7 +13,7 @@ from perclab import (ExperimentParams, PotentialDistribution, adjacency_kernel,
                      ids_jump, log_hoelder_check, wegner_experiment)
 from perclab.errors import HypothesisViolationError, PreconditionError
 from perclab.experiments import _box_region, _realization
-from perclab.spectra import DENSE_BLOCK_MAX, AlgebraicNumber
+from perclab.spectra import DENSE_BLOCK_MAX, AlgebraicNumber, BlockSpectra
 
 K1 = adjacency_kernel(1)
 K2 = adjacency_kernel(2)
@@ -325,6 +325,20 @@ def test_wegner_interval_placement_rejected():
         wegner_experiment(_wegner_params(m=1), [(-0.5, 0.5), (5.0, 6.5)], -6.0, 6.0)
     with pytest.raises(PreconditionError):
         wegner_experiment(_wegner_params(m=1), [(-0.5, 0.5), (0.5, 0.5)], -6.0, 6.0)
+
+
+def test_wegner_makes_two_count_calls_per_realization(monkeypatch):
+    # one inclusive call at every upper end and one strict call at every lower end
+    calls, counts_below = [], BlockSpectra.counts_below
+
+    def recording(engine, energies, inclusive=False):
+        calls.append((np.asarray(energies).tolist(), inclusive))
+        return counts_below(engine, energies, inclusive)
+
+    monkeypatch.setattr(BlockSpectra, "counts_below", recording)
+    intervals = [(-0.5, 0.5), (-0.25, 0.25), (1.0, 2.5)]
+    wegner_experiment(_wegner_params(m=3), intervals, -6.0, 6.0)
+    assert calls == [([0.5, 0.25, 2.5], True), ([-0.5, -0.25, 1.0], False)] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,17 @@ def test_distribution_validation():
         PotentialDistribution(pieces=((0.0, 2.0, 0.5), (1.0, 3.0, 0.5)))
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf),
+                                    (-1e308, 1e308), (math.nan, 1.0)])
+def test_a_piece_needs_finite_ends_and_a_finite_width(lo, hi):
+    # such a piece used to sample NaN or inf potentials, which close the site
+    with pytest.raises(PreconditionError, match="needs finite lo < hi"):
+        PotentialDistribution(pieces=((lo, hi, 1.0),))
+    # the widest piece a float can hold still samples inside it
+    wide = PotentialDistribution(pieces=((-8e307, 8e307, 1.0),))
+    assert np.all(np.isfinite(wide.quantile(np.array([0.0, 0.25, 0.5, 0.9]))))
+
+
 def test_distribution_derived_quantities():
     d = PotentialDistribution(atoms=((0.0, 0.2),), pieces=((-1.0, 1.0, 0.5),),
                               inactive_weight=0.3)

@@ -16,7 +16,7 @@ from sympy.polys.matrices import DomainMatrix
 from perclab import (AlgebraicNumber, Configuration, LatticeRegion,
                      PotentialDistribution, adjacency_kernel,
                      algebraic_constant, assemble, bernoulli_distribution,
-                     charpoly_exact, cluster_spectrum_catalog, count_below,
+                     charpoly_exact, cluster_spectrum_catalog,
                      eigs_dense, enumerate_connected_subgraphs,
                      kernel_dim_exact, luck_bound, mirror_embed,
                      sample_configuration, validate_kernel)
@@ -56,24 +56,29 @@ def four_cycle():
 # counting
 
 
+def _count_below(m, e, inclusive=False) -> int:
+    """One energy counted by an engine of its own, which factorizes from scratch."""
+    return int(BlockSpectra(m).counts_below([e], inclusive)[0])
+
+
 def test_count_below_dimer():
     m = dimer()
-    assert count_below(m, 0.0) == 1
-    assert count_below(m, 1.0) == 1
-    assert count_below(m, 1.0, inclusive=True) == 2
+    assert _count_below(m, 0.0) == 1
+    assert _count_below(m, 1.0) == 1
+    assert _count_below(m, 1.0, inclusive=True) == 2
 
 
 def test_count_below_4_cycle():
     m = four_cycle()
-    assert count_below(m, 0.0) == 1  # eigenvalues -2, 0, 0, 2
-    assert count_below(m, 0.0, inclusive=True) == 3
-    assert count_below(m, 2.5) == 4
+    assert _count_below(m, 0.0) == 1  # eigenvalues -2, 0, 0, 2
+    assert _count_below(m, 0.0, inclusive=True) == 3
+    assert _count_below(m, 2.5) == 4
 
 
 def test_count_matches_dense_on_random_percolation_ensemble():
     # the full-scale ensemble: 100 Hamiltonians at L=12, 20 random shifts each,
-    # all counted by one engine per matrix; count_below, which builds an engine
-    # of its own, checks the first shift
+    # all counted by one engine per matrix; _count_below, which builds an
+    # engine of its own, checks the first shift
     k = adjacency_kernel(2)
     d = bernoulli_distribution(0.6)
     reg = LatticeRegion.box(2, 12, 2)
@@ -88,13 +93,13 @@ def test_count_matches_dense_on_random_percolation_ensemble():
         shifts = rng.uniform(-4.2, 4.2, 20)
         expect = [int((w < e - 1e-9).sum()) for e in shifts]
         assert BlockSpectra(m).counts_below(shifts).tolist() == expect
-        assert count_below(m, float(shifts[0])) == expect[0]
+        assert _count_below(m, float(shifts[0])) == expect[0]
 
 
 def test_count_below_at_exact_eigenvalue_uses_fallback():
     m = path3()  # eigenvalues -sqrt2, 0, sqrt2
-    assert count_below(m, 0.0) == 1
-    assert count_below(m, 0.0, inclusive=True) == 2
+    assert _count_below(m, 0.0) == 1
+    assert _count_below(m, 0.0, inclusive=True) == 2
 
 
 def test_counts_below_rejects_nan_on_every_route():
@@ -111,8 +116,8 @@ def test_counts_below_rejects_nan_on_every_route():
 
 
 def test_block_spectra_agrees_with_count_below():
-    # both routes against the dense snap oracle #{lambda < E - tau}; count_below
-    # delegates to BlockSpectra, so comparing them with each other shows nothing
+    # the batched call and one fresh engine per energy, each against the dense
+    # snap oracle #{lambda < E - tau}: comparing them with each other shows nothing
     k = adjacency_kernel(2)
     d = bernoulli_distribution(0.55)
     reg = LatticeRegion.box(2, 8, 2)
@@ -124,7 +129,7 @@ def test_block_spectra_agrees_with_count_below():
     expect = np.searchsorted(w, grid - CLUSTER_TOL, side="left").tolist()
     got = engine.counts_below(grid)
     assert got.tolist() == expect
-    assert [count_below(m, float(e)) for e in grid] == expect
+    assert [_count_below(m, float(e)) for e in grid] == expect
     assert np.all(np.diff(got) >= 0)
 
 
@@ -196,14 +201,15 @@ def test_every_counting_route_returns_the_dense_snap_count(name, data):
 
     assert engine.counts_below(energies).tolist() == strict.tolist()
     assert engine.counts_below(energies, inclusive=True).tolist() == inclusive.tolist()
+    # the eigenvalues in [E, E'], widened by tau, are N<=(E') - N(E)
     for e, lo, hi in zip(energies, strict, inclusive):
-        assert engine.count_in_closed(e, e) == hi - lo
-    assert engine.count_in_closed(energies[0], energies[-1]) == inclusive[-1] - strict[0]
+        assert engine.counts_below([e], True)[0] - engine.counts_below([e])[0] == hi - lo
+    assert (engine.counts_below([energies[-1]], True)[0] - engine.counts_below([energies[0]])[0]
+            == inclusive[-1] - strict[0])
 
-    # count_below builds a fresh engine, so it factorizes from scratch
     j = data.draw(st.integers(0, len(SNAP_OFFSETS) - 1), label="offset")
-    assert count_below(m, energies[j]) == strict[j]
-    assert count_below(m, energies[j], inclusive=True) == inclusive[j]
+    assert _count_below(m, energies[j]) == strict[j]
+    assert _count_below(m, energies[j], inclusive=True) == inclusive[j]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: sparse LU counts carry no backward-error "
@@ -249,22 +255,49 @@ def _four_free_boxes():
 
 
 def test_large_blocks_are_ordered_once_and_refactored_in_place(splu_calls):
+    # the four identical boxes are one class: its representative is factored
+    # once per energy and counted four times
     m, w = _four_free_boxes()
     engine = BlockSpectra(m)
-    assert [lb.sub.dim for lb in engine.large] == [2209] * 4
+    assert [(lb.sub.dim, lb.mult) for lb in engine.large] == [(2209, 4)]
     grid = np.linspace(-4.25, 4.25, 18)  # the ends lie beyond the norm bound 4,
     inside = int((np.abs(grid) < m.norm_bound).sum())  # where nothing is factored
     assert engine.counts_below(grid).tolist() == \
         np.searchsorted(w, grid - CLUSTER_TOL, side="left").tolist()
-    assert splu_calls == (["MMD_AT_PLUS_A"] + ["NATURAL"] * (inside - 1)) * 4
+    assert splu_calls == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (inside - 1)
     splu_calls.clear()
     assert engine.counts_below(grid, inclusive=True).tolist() == \
         np.searchsorted(w, grid + CLUSTER_TOL, side="right").tolist()
-    assert splu_calls == ["NATURAL"] * inside * 4
+    assert splu_calls == ["NATURAL"] * inside
     for lb in engine.large:  # one slot per diagonal entry, though every entry is 0
         a, slots, _ = lb._csc
         assert len(slots) == lb.sub.dim
         assert np.array_equal(a.indices[slots], np.arange(lb.sub.dim))
+
+
+def test_identical_chains_take_the_sturm_route_as_one_class(splu_calls, monkeypatch):
+    # two 3,001-site chains split by the closed site 0: one Sturm recurrence
+    # per call, on the class representative, counted twice
+    m = _matrix({(i,): 0.0 for i in range(-3001, 3002) if i}, 3001)
+    engine = BlockSpectra(m)
+    assert [(lb.sub.dim, lb.mult) for lb in engine.large] == [(3001, 2)]
+    sturm, recurrences = spectra._sturm_negcount_multi, []
+
+    def recording(*args):
+        recurrences.append(len(args[2]))
+        return sturm(*args)
+
+    monkeypatch.setattr(spectra, "_sturm_negcount_multi", recording)
+    w = np.repeat(np.linalg.eigvalsh(engine.large[0].sub.to_dense()), 2)
+    b = m.norm_bound
+    energies = np.concatenate([[-b, b], np.array([-2, -1, 0, 1, 2]) * CLUSTER_TOL])
+    assert engine.counts_below(energies).tolist() == \
+        np.searchsorted(w, energies - CLUSTER_TOL, side="left").tolist()
+    assert engine.counts_below(energies, inclusive=True).tolist() == \
+        np.searchsorted(w, energies + CLUSTER_TOL, side="right").tolist()
+    # E = tau puts the strict shift on the eigenvalue 0: the class falls back to
+    # its dense spectrum, which then answers the inclusive call
+    assert recurrences == [6] and splu_calls == []
 
 
 @pytest.mark.parametrize("name", ["box_47x47", "chain_3001"])
@@ -310,8 +343,8 @@ def test_zero_diagonal_block_keeps_its_slots_when_the_shift_zeroes_them(splu_cal
     a, slots, _ = engine.large[0]._csc
     assert len(slots) == m.dim and not a.data[slots].any()
     assert engine.counts_below(energies).tolist() == expect
-    assert engine.count_in_closed(-0.5, 0.5) == int(((w >= -0.5 - CLUSTER_TOL) &
-                                                     (w <= 0.5 + CLUSTER_TOL)).sum())
+    assert (engine.counts_below([0.5], True)[0] - engine.counts_below([-0.5])[0]
+            == int(((w >= -0.5 - CLUSTER_TOL) & (w <= 0.5 + CLUSTER_TOL)).sum()))
     assert splu_calls == ["MMD_AT_PLUS_A", "NATURAL"]
 
 
