@@ -307,8 +307,8 @@ def _cmd_loghoelder(args, started):
     else:
         raise PreconditionError("loghoelder needs --E or --minpoly")
     rep = log_hoelder_check(params, energy, args.eps)
-    if rep.violations:
-        raise HypothesisViolationError(
+    if rep.violations:  # the bound is a theorem: a violation is a bug
+        raise InternalCheckError(
             f"{rep.violations} realizations violated the bound (should be impossible)")
     return _finish(args, "loghoelder", rep.to_csv_rows(), started, params.describe())
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -106,8 +107,9 @@ def _box_region(dim: int, L: int, collar: int) -> LatticeRegion:
 
 
 def _map_realizations(fn, m: int, workers: int):
-    if workers > 1 and m > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, m)) as pool:
+    workers = min(workers, m, os.cpu_count() or 1)  # no more threads than tasks or CPUs
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, range(m)))
     return [fn(i) for i in range(m)]
 

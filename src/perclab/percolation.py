@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,15 +87,13 @@ def label_clusters(config: Configuration, kernel: HoppingKernel) -> ClusterLabel
                            np.bincount(component, minlength=count), touching, positions)
 
 
-def connected_region(config: Configuration, kernel: HoppingKernel,
-                     labeling: Optional[ClusterLabeling] = None) -> np.ndarray:
+def connected_region(config: Configuration, kernel: HoppingKernel) -> np.ndarray:
     """Core indices of active sites whose cluster reaches the outer R-ring.
 
     This depends only on values in the box and its outer R-boundary, which is
     why it serves as the local stand-in for the infinite-cluster restriction.
     """
-    if labeling is None:
-        labeling = label_clusters(config, kernel)
+    labeling = label_clusters(config, kernel)
     pos = labeling.positions[: config.region.n_core]
     return np.flatnonzero(np.append(labeling.touches_outer, False)[pos])
 

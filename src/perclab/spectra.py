@@ -11,9 +11,12 @@ block is counted from that spectrum from then on.
 Sparse LU orders a block once, at its first energy, and writes each later
 shift into the diagonal of the ordered copy in place.  Shifts beyond the norm
 bound are not factored at all.  Where floating point cannot decide, exact
-integer routines take over: jump multiplicities by sparse fraction-free
-elimination on the edge lists of the classes with an eigenvalue near E
-(BlockSpectra.kernel_dim), and characteristic polynomials for log-Holder.
+integer routines take over.  Every rank over Q is decided by one sparse
+fraction-free elimination, _sparse_rank: jump multiplicities on the edge
+lists of the classes with an eigenvalue near E (BlockSpectra.kernel_dim), and
+the squarefreeness of a minimal polynomial as the rank of its Sylvester
+matrix with its derivative.  Characteristic polynomials for log-Holder come
+from one guarded integer read of the matrix.
 
 A realization has many cluster blocks but few distinct ones, so BlockSpectra
 groups identical blocks, by a 64-bit key per block checked against the
@@ -104,8 +107,9 @@ def _counts_from_eigs(eigs: np.ndarray, energies: np.ndarray, inclusive: bool) -
 def _sturm_negcount_multi(diag, sub, energies, tol):
     """Pivot signs of the LDL recurrence of a tridiagonal matrix, per energy.
 
-    Returns (negcounts, aborted): lanes flagged aborted hit a pivot within
-    tolerance of zero and must be recounted from a dense spectrum.
+    tol holds one pivot tolerance per energy.  Returns (negcounts, aborted):
+    lanes flagged aborted hit a pivot within their tolerance of zero and must
+    be recounted from a dense spectrum.
     """
     e = np.asarray(energies, dtype=np.float64)
     neg = np.zeros(e.shape, dtype=np.int64)
@@ -234,14 +238,15 @@ class _LargeBlock:
         bound = self.sub.norm_bound
         out = np.where(shifts > bound, self.sub.dim, 0).astype(np.int64)
         todo = np.flatnonzero(np.abs(shifts) <= bound)
-        tol = PIVOT_RTOL * max(1.0, bound + np.abs(energies).max(initial=0.0))
+        tol = PIVOT_RTOL * np.maximum(1.0, bound + np.abs(energies))  # one per energy
         if self._eigs is None and self._tri is not None:
-            neg, aborted = _sturm_negcount_multi(self._tri[0], self._tri[1], shifts[todo], tol)
+            neg, aborted = _sturm_negcount_multi(self._tri[0], self._tri[1], shifts[todo],
+                                                 tol[todo])
             out[todo] = neg
             todo = todo[aborted]
         elif self._eigs is None:
             for done, k in enumerate(todo):
-                neg = self._negcount(float(shifts[k]), tol)
+                neg = self._negcount(float(shifts[k]), float(tol[k]))
                 if neg is None:
                     todo = todo[done:]
                     break
@@ -291,7 +296,6 @@ class BlockSpectra:
 
     def __init__(self, matrix: SymmetricOperatorMatrix):
         self.matrix = matrix
-        self.box_size = matrix.box_size
         order, starts, labels = matrix.block_layout()
         n, lens = matrix.dim, np.diff(starts)
 
@@ -515,6 +519,11 @@ def _int_array(matrix) -> np.ndarray:
 
 
 def _dense_int_rows(matrix) -> list:
+    """The integer rows of the charpoly path, read only once the dimension has
+    passed CHARPOLY_GUARD."""
+    n = matrix.dim if isinstance(matrix, SymmetricOperatorMatrix) else len(matrix)
+    if n > CHARPOLY_GUARD:
+        raise ResourceGuardError(f"dimension {n} exceeds charpoly guard {CHARPOLY_GUARD}")
     if isinstance(matrix, SymmetricOperatorMatrix):
         return matrix.to_dense_int()
     return [[int(x) for x in row] for row in _int_array(matrix)]
@@ -595,11 +604,7 @@ def charpoly_exact(matrix) -> tuple:
     Faddeev-LeVerrier with exact big-integer arithmetic; every division in
     the recurrence is exact.
     """
-    rows = _dense_int_rows(matrix)
-    n = len(rows)
-    if n > CHARPOLY_GUARD:
-        raise ResourceGuardError(f"dimension {n} exceeds charpoly guard {CHARPOLY_GUARD}")
-    return _charpoly(tuple(tuple(r) for r in rows))
+    return _charpoly(tuple(map(tuple, _dense_int_rows(matrix))))
 
 
 @functools.lru_cache
@@ -648,8 +653,7 @@ def luck_bound(matrix, energy: int, eps: float):
     energy = int(energy)
     rows = _dense_int_rows(matrix)
     n = len(rows)
-    coeffs = charpoly_exact(rows)
-    shifted = _shift_poly(coeffs, energy)
+    shifted = _shift_poly(_charpoly(tuple(map(tuple, rows))), energy)
     k = next((i for i, c in enumerate(shifted) if c != 0), None)
     if k is None:
         raise InternalCheckError("shifted characteristic polynomial vanished")
@@ -671,58 +675,45 @@ def luck_bound(matrix, energy: int, eps: float):
 # algebraic numbers and the log-Holder constant
 
 
-def _trim_poly(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mod(a, b):
-    """Remainder of a divided by b over the rationals (ascending coefficients)."""
-    r = a[:]
-    while len(r) >= len(b):
-        factor = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        for i, c in enumerate(b):
-            r[i + shift] -= factor * c
-        r.pop()
-        _trim_poly(r)
-    return r
-
-
-def _poly_gcd_is_constant(coeffs) -> bool:
-    """True when gcd(m, m') is constant, i.e. m is squarefree."""
-    a = _trim_poly([Fraction(c) for c in coeffs])
-    b = _trim_poly([Fraction(i * c) for i, c in enumerate(coeffs)][1:])
-    while b:
-        a, b = b, _poly_mod(a, b)
-    return len(a) <= 1
-
-
 class AlgebraicNumber:
     """E = alpha / b with alpha an algebraic integer given by a monic polynomial.
 
     The certified root bound covers every conjugate of alpha (Cauchy bound:
     1 + max |coefficient|), which is all the log-Holder constant needs; it is
-    never required to be tight.  Squarefreeness of the polynomial is checked;
-    irreducibility is not (a reducible input only loosens the constant).
+    never required to be tight.  Squarefreeness of the polynomial m of degree
+    n is checked (gcd(m, m') = 1, i.e. the Sylvester matrix of m and m' has
+    full rank 2n - 1); irreducibility is not (a reducible input only loosens
+    the constant).  Degrees above CHARPOLY_GUARD are refused.
     """
 
     def __init__(self, min_poly, denominator: int = 1, approx: Optional[float] = None):
-        coeffs = tuple(int(c) for c in min_poly)
+        try:  # np.roots and the root pick read the coefficients and denominator as floats
+            coeffs = tuple(int(c) for c in min_poly)
+            integral = all(float(c) == int(c) for c in min_poly)
+            float(denominator)
+        except OverflowError:
+            raise PreconditionError(
+                "min_poly coefficients and denominator must lie within the float range") from None
         if len(coeffs) < 2 or coeffs[-1] != 1:
             raise PreconditionError("min_poly must be monic of degree >= 1")
-        if any(float(c) != int(c) for c in min_poly):
+        if not integral:
             raise PreconditionError("min_poly must have integer coefficients")
         if denominator < 1:
             raise PreconditionError("denominator must be a positive integer")
         if approx is not None and not math.isfinite(approx):
             raise PreconditionError("approx must be finite")
-        if not _poly_gcd_is_constant(coeffs):
+        n = len(coeffs) - 1
+        if n > CHARPOLY_GUARD:
+            raise ResourceGuardError(
+                f"min_poly degree {n} exceeds charpoly guard {CHARPOLY_GUARD}")
+        deriv = [k * c for k, c in enumerate(coeffs)][1:]
+        sylvester = ([{i + k: c for k, c in enumerate(coeffs)} for i in range(n - 1)]
+                     + [{i + k: c for k, c in enumerate(deriv)} for i in range(n)])
+        if _sparse_rank(sylvester) < 2 * n - 1:
             raise PreconditionError("min_poly is not squarefree")
         self.min_poly = coeffs
         self.denominator = int(denominator)
-        self.degree = len(coeffs) - 1
+        self.degree = n
 
         roots = np.roots(list(reversed(coeffs)))
         if self.degree == 1:

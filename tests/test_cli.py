@@ -120,15 +120,26 @@ BAD_ARGS = {
     "dist_piece_overflowing_width": ["ids", "--L", "3",
                                      "--dist", '{"pieces": [[-1e308, 1e308, 1.0]]}'],
     "gn_nmax_beyond_rows": ["gn", "--L", "3", "--p", "0.5", "--nmax", "1000000000000"],
+    # algebraic energies: a degree beyond the guard, and values beyond the float range
+    "minpoly_degree_beyond_guard": ["loghoelder", "--L", "2", "--p", "0.5",
+                                    "--minpoly", ",".join(["1"] + ["0"] * 99 + ["1"]),
+                                    "--approx", "0.5"],
+    "minpoly_coefficient_overflow": ["loghoelder", "--L", "2", "--p", "0.5",
+                                     "--minpoly", f"{10 ** 400},1"],
+    "denominator_overflow": ["loghoelder", "--L", "2", "--p", "0.5", "--minpoly", "-2,0,1",
+                             "--approx", "1.414", "--denom", str(10 ** 400)],
 }
+# every bad argument is a usage error (exit 2) but these
+BAD_ARGS_EXIT = {"minpoly_degree_beyond_guard": (4, "resource-guard")}
 
 
 @pytest.mark.filterwarnings("error")  # a warning would print lines of its own
 @pytest.mark.parametrize("name", sorted(BAD_ARGS))
 def test_bad_arguments_give_one_usage_line(name, tmp_path, capsys):
-    assert run(BAD_ARGS[name] + ["--dim", "1", "--out", str(tmp_path)]) == 2
+    code, kind = BAD_ARGS_EXIT.get(name, (2, "usage"))
+    assert run(BAD_ARGS[name] + ["--dim", "1", "--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: usage:") and err.count("\n") == 1
+    assert err.startswith(f"error: {kind}:") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -251,6 +262,23 @@ def test_internal_check_exit_5(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setitem(cli._HANDLERS, "catalog", breakdown)
     code = run(["catalog", "--dim", "1", "--maxsize", "2", "--out", str(tmp_path)])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal-check:") and err.count("\n") == 1
+
+
+def test_loghoelder_violation_is_an_internal_check_exit_5(tmp_path, capsys, monkeypatch):
+    # the bound is a theorem, so a violation is a failed postcondition
+    real = cli.log_hoelder_check
+
+    def one_violation(*args):
+        rep = real(*args)
+        rep.violations = 1
+        return rep
+
+    monkeypatch.setattr(cli, "log_hoelder_check", one_violation)
+    code = run(["loghoelder", "--dim", "1", "--L", "2", "--p", "0.5", "--E", "0",
+                "--realizations", "1", "--out", str(tmp_path)])
     assert code == 5
     err = capsys.readouterr().err
     assert err.startswith("error: internal-check:") and err.count("\n") == 1

@@ -158,13 +158,40 @@ def test_workers_validated_and_pool_capped_at_realizations(monkeypatch):
         return pool(max_workers=max_workers)
 
     monkeypatch.setattr(ex, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: 2)
     params = bernoulli_params(1, 0.5, 10, m=3)
     serial = estimate_ids(params)
     assert seen == []
     params.workers = 64
     pooled = estimate_ids(params)
-    assert seen == [3]
+    assert seen == [2]  # capped at the CPUs, below the 3 realizations
     assert np.array_equal(serial.mean, pooled.mean)
+
+
+def test_pool_never_outgrows_the_cpus(monkeypatch):
+    import perclab.experiments as ex
+    seen = []
+
+    class Recording:  # starts no threads
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(ex, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: 2)
+    assert ex._map_realizations(lambda i: i * i, 5, 10 ** 6) == [0, 1, 4, 9, 16]
+    assert seen == [2]
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: None)  # unknown: one worker, no pool
+    assert ex._map_realizations(lambda i: i, 5, 10 ** 6) == [0, 1, 2, 3, 4]
+    assert seen == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import QQ, ZZ
+from sympy import QQ, ZZ, Poly, Symbol
 from sympy.polys.matrices import DomainMatrix
 
 from perclab import (AlgebraicNumber, Configuration, LatticeRegion,
@@ -273,6 +273,25 @@ def test_large_blocks_are_ordered_once_and_refactored_in_place(splu_calls):
         a, slots, _ = lb._csc
         assert len(slots) == lb.sub.dim
         assert np.array_equal(a.indices[slots], np.arange(lb.sub.dim))
+
+
+def test_pivot_tolerance_is_set_per_energy(monkeypatch):
+    # 100.0 lies beyond the norm bound and is never factored, so it must not
+    # widen the tolerance of the energy that is
+    tols = []
+    for name in ("_splu_negcount", "_sturm_negcount_multi"):
+        def recording(*args, real=getattr(spectra, name)):
+            tols.append(np.atleast_1d(args[-1]).tolist())
+            return real(*args)
+
+        monkeypatch.setattr(spectra, name, recording)
+    for m in (_free_box(2, 23)[0], _free_box(1, 1500)[0]):  # sparse LU, then Sturm
+        seen = []
+        for energies in ([0.5], [0.5, 100.0]):
+            tols.clear()
+            BlockSpectra(m).counts_below(energies)
+            seen.append(tols[:])
+        assert seen[0] == seen[1] == [[spectra.PIVOT_RTOL * (m.norm_bound + 0.5)]]
 
 
 def test_identical_chains_take_the_sturm_route_as_one_class(splu_calls, monkeypatch):
@@ -942,6 +961,33 @@ def test_charpoly_guard():
         charpoly_exact(np.zeros((65, 65), dtype=int))
 
 
+def test_charpoly_guard_trips_before_any_entry_is_read(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("read the matrix before checking its dimension")
+
+    monkeypatch.setattr(SymmetricOperatorMatrix, "to_dense_int", refuse)
+    monkeypatch.setattr(spectra, "_int_array", refuse)
+    box = _free_box(2, 40)[0]
+    assert box.dim == 6561
+    for matrix in (box, np.zeros((65, 65), dtype=int)):
+        with pytest.raises(ResourceGuardError, match="charpoly guard"):
+            charpoly_exact(matrix)
+        with pytest.raises(ResourceGuardError, match="charpoly guard"):
+            luck_bound(matrix, 0, 0.1)
+
+
+def test_luck_bound_reads_its_rows_once(monkeypatch):
+    reads, read = [], spectra._dense_int_rows
+
+    def recording(matrix):
+        reads.append(matrix)
+        return read(matrix)
+
+    monkeypatch.setattr(spectra, "_dense_int_rows", recording)
+    assert luck_bound(path3(), 0, 0.1)[1] == 0
+    assert len(reads) == 1
+
+
 def test_luck_bound_path3():
     b, lhs = luck_bound(path3(), 0, 0.1)
     expect = (math.log(0.5) + 3 * math.log(2.0)) / math.log(10.0)
@@ -1006,6 +1052,58 @@ def test_algebraic_constant_monotonicity():
 def test_algebraic_number_rejects_non_squarefree():
     with pytest.raises(PreconditionError):
         AlgebraicNumber((1, 2, 1), approx=-1.0)  # (t+1)^2
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+_monic = st.lists(st.integers(-3, 3), min_size=1, max_size=6).map(lambda c: c + [1])
+_DEGREE_64 = np.random.default_rng(64).integers(-3, 4, 64).tolist() + [1]
+_G16 = np.random.default_rng(16).integers(-3, 4, 16).tolist() + [1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(f=_monic, g=st.none() | _monic)
+@example(f=[5, 1], g=None)
+@example(f=[-7, 1], g=[-7, 1])
+@example(f=_DEGREE_64, g=None)
+@example(f=_DEGREE_64[:32] + [1], g=_G16)
+def test_squarefree_check_agrees_with_sympy(f, g):
+    # monic integer polynomials f, and f * g^2, which is never squarefree
+    coeffs = f if g is None else _poly_mul(f, _poly_mul(g, g))
+    t = Symbol("t")
+    try:
+        AlgebraicNumber(coeffs, approx=0.0)
+        refused = False
+    except PreconditionError as exc:  # a complex root nearest 0 is refused too
+        refused = "not squarefree" in str(exc)
+    assert refused == (not Poly(coeffs[::-1], t).is_sqf)
+
+
+def test_minimal_polynomial_degree_is_guarded_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("worked on a polynomial beyond the guard")
+
+    monkeypatch.setattr(np, "roots", refuse)
+    monkeypatch.setattr(spectra, "_sparse_rank", refuse)
+    with pytest.raises(ResourceGuardError, match="degree 65"):
+        AlgebraicNumber([-2] + [0] * 64 + [1], approx=1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(min_poly=(10 ** 400, 1)),
+    dict(min_poly=(-2, 10 ** 400, 1), approx=1.0),
+    dict(min_poly=(-2, 0, 1), denominator=10 ** 400, approx=1e-400),
+    dict(min_poly=(float("inf"), 1)),
+])
+def test_algebraic_number_refuses_values_beyond_the_float_range(kwargs):
+    with pytest.raises(PreconditionError, match="float range"):
+        AlgebraicNumber(**kwargs)
 
 
 def test_algebraic_number_needs_root_choice():
