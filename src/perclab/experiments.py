@@ -15,7 +15,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Sequence
 
@@ -252,8 +251,8 @@ def ids_jump(params: ExperimentParams, energies: Sequence, windows: Sequence[flo
     if not len(energies) or not windows or any(not 0 < w < math.inf for w in windows):
         raise PreconditionError("need energies and positive finite windows")
     floats = [float(e) for e in energies]
-    rationals = [Fraction(e) if isinstance(e, Rational) or (
-        isinstance(e, float) and e.is_integer()) else None for e in energies]
+    rationals = [e if isinstance(e, Rational) or (isinstance(e, float) and e.is_integer())
+                 else None for e in energies]
     box_size = params.region().n_core
 
     def row(engine):

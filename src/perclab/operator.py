@@ -65,17 +65,6 @@ class SymmetricOperatorMatrix:
         a[self.off_j, self.off_i] = self.off_v
         return a
 
-    def to_dense_int(self) -> list:
-        """Dense entries as exact Python integers (exact matrices only)."""
-        if not self.exact:
-            raise TypeError("matrix entries are not exact integers")
-        a = [[0] * self.dim for _ in range(self.dim)]
-        for k in range(self.dim):
-            a[k][k] = int(self.diag[k])
-        for i, j, v in zip(self.off_i.tolist(), self.off_j.tolist(), self.off_v.tolist()):
-            a[i][j] = a[j][i] = int(v)
-        return a
-
     def block_layout(self) -> tuple:
         """Connected components as arrays (order, starts, labels), computed once.
 

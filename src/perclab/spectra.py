@@ -11,8 +11,10 @@ block is counted from that spectrum from then on.
 Sparse LU orders a block once, at its first energy, and writes each later
 shift into the diagonal of the ordered copy in place.  Shifts beyond the norm
 bound are not factored at all.  Where floating point cannot decide, exact
-integer routines take over.  Every rank over Q is decided by one sparse
-fraction-free elimination, _sparse_rank: jump multiplicities on the edge
+integer routines take over, over the integers alone: a rational eigenvalue
+of an integer matrix is an integer, so any other rational E has kernel
+dimension 0.  Every rank over Q is decided by one sparse fraction-free
+elimination, _sparse_rank: jump multiplicities at an integer E on the edge
 lists of the classes with an eigenvalue near E (BlockSpectra.kernel_dim), and
 the squarefreeness of a minimal polynomial as the rank of its Sylvester
 matrix with its derivative.  Characteristic polynomials for log-Holder come
@@ -38,6 +40,7 @@ import functools
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -442,23 +445,24 @@ class BlockSpectra:
     def kernel_dim(self, energy) -> int:
         """Exact dim ker(A - E) for rational E on an exact-integer matrix.
 
-        0 beyond the Gershgorin norm bound, compared exactly.  A class up to DENSE_BLOCK_MAX
-        is eliminated only with an _eigvals value within KERNEL_FILTER_RTOL * max(1, bound)
-        of float(E): 10^6 times the error, n eps |A| <= 5e-13 |A|, of backward stable eigvalsh/SVD.
+        0 at a non-integer E (_integer_energy) and beyond the Gershgorin norm bound,
+        compared exactly, before any elimination.  A class up to DENSE_BLOCK_MAX is
+        eliminated only with an _eigvals value within KERNEL_FILTER_RTOL * max(1, bound)
+        of E: 10^6 times the error, n eps |A| <= 5e-13 |A|, of backward stable eigvalsh/SVD.
         """
-        r, s = _as_rational(energy)
+        e = _integer_energy(energy)
         if not self.matrix.exact:
             raise TypeError("exact kernel dimension requires an exact-integer matrix")
-        if abs(Fraction(r, s)) > self.matrix.norm_bound:
+        if e is None or abs(e) > self.matrix.norm_bound:
             return 0
         margin, total = KERNEL_FILTER_RTOL * max(1.0, self.matrix.norm_bound), 0
         for (_, reps, mult), w in zip(self._classes, self._spectra):
-            near = slice(None) if w is None else (np.abs(w - r / s) <= margin).any(axis=1)
+            near = slice(None) if w is None else (np.abs(w - e) <= margin).any(axis=1)
             for b, k in zip(reps[near].tolist(), mult[near].tolist()):
                 _, diag, ei, ej, ev = self._parts(b)
-                rows = [{i: s * int(d) - r} for i, d in enumerate(diag.tolist())]
+                rows = [{i: int(d) - e} for i, d in enumerate(diag.tolist())]
                 for i, j, v in zip(ei.tolist(), ej.tolist(), ev.tolist()):
-                    rows[i][j] = rows[j][i] = s * int(v)
+                    rows[i][j] = rows[j][i] = int(v)
                 total += k * (len(rows) - _sparse_rank(rows))
         return total
 
@@ -500,12 +504,14 @@ class BlockSpectra:
 # exact integer linear algebra
 
 
-def _as_rational(energy):
+def _integer_energy(energy) -> Optional[int]:
+    """A rational energy as an int, or None when it is not an integer.  A rational
+    eigenvalue of an integer matrix is an integer (rational-root theorem on its monic
+    characteristic polynomial), so None means a kernel dimension of 0."""
     if isinstance(energy, Rational):
-        f = Fraction(energy)
-        return f.numerator, f.denominator
+        return int(energy) if energy.denominator == 1 else None
     if isinstance(energy, float) and energy.is_integer():
-        return int(energy), 1
+        return int(energy)
     raise PreconditionError(f"exact routines need a rational energy, got {energy!r}")
 
 
@@ -524,9 +530,8 @@ def _dense_int_rows(matrix) -> list:
     n = matrix.dim if isinstance(matrix, SymmetricOperatorMatrix) else len(matrix)
     if n > CHARPOLY_GUARD:
         raise ResourceGuardError(f"dimension {n} exceeds charpoly guard {CHARPOLY_GUARD}")
-    if isinstance(matrix, SymmetricOperatorMatrix):
-        return matrix.to_dense_int()
-    return [[int(x) for x in row] for row in _int_array(matrix)]
+    a = matrix.to_dense() if isinstance(matrix, SymmetricOperatorMatrix) else matrix
+    return [[int(x) for x in row] for row in _int_array(a)]
 
 
 def _sparse_rank(rows) -> int:
@@ -582,19 +587,21 @@ def _sparse_rank(rows) -> int:
 
 
 def kernel_dim_exact(matrix, energy) -> int:
-    """dim ker(A - E) over the rationals, exactly, for rational E = r/s.
+    """dim ker(A - E) over the rationals, exactly, for rational E.
 
-    n minus the rank of s*A - r*Id: block by block for an assembled matrix
-    (BlockSpectra.kernel_dim, filtered), as one unfiltered block for a square
-    integer array, which need not be symmetric.
+    0 at a non-integer E, which no integer matrix has as an eigenvalue;
+    otherwise n minus the rank of A - E*Id: block by block for an assembled
+    matrix (BlockSpectra.kernel_dim, filtered), as one unfiltered block for a
+    square integer array, which need not be symmetric.
     """
     if isinstance(matrix, SymmetricOperatorMatrix):
         return BlockSpectra(matrix).kernel_dim(energy)
-    r, s = _as_rational(energy)
-    a = _int_array(matrix)
-    rows = [{k: -r} for k in range(len(a))]
+    e, a = _integer_energy(energy), _int_array(matrix)
+    if e is None:
+        return 0
+    rows = [{k: -e} for k in range(len(a))]
     for i, j in zip(*(x.tolist() for x in np.nonzero(a))):
-        rows[i][j] = s * int(a[i, j]) - r * (i == j)
+        rows[i][j] = int(a[i, j]) - e * (i == j)
     return len(rows) - _sparse_rank(rows)
 
 
@@ -648,9 +655,9 @@ def luck_bound(matrix, energy: int, eps: float):
     """
     if not 0 < eps < 1:
         raise PreconditionError("eps must lie in (0, 1)")
-    if not float(energy).is_integer():
-        raise PreconditionError("luck_bound needs an integer energy")
-    energy = int(energy)
+    energy = _integer_energy(energy)
+    if energy is None or abs(energy) > sys.float_info.max:  # E + eps is counted as a float
+        raise PreconditionError("luck_bound needs an integer energy within the float range")
     rows = _dense_int_rows(matrix)
     n = len(rows)
     shifted = _shift_poly(_charpoly(tuple(map(tuple, rows))), energy)
@@ -660,8 +667,7 @@ def luck_bound(matrix, energy: int, eps: float):
     c_const = abs(shifted[k])
     inf_norm = max((sum(map(abs, row)) - abs(row[i]) + abs(row[i] - energy)
                     for i, row in enumerate(rows)), default=0)
-    big_k = max(1.0, float(inf_norm))
-    bound = (-math.log(c_const) + n * math.log(big_k)) / math.log(1.0 / eps)
+    bound = (-math.log(c_const) + n * math.log(max(1, inf_norm))) / math.log(1.0 / eps)
     eigs = np.linalg.eigvalsh(np.array(rows, dtype=np.float64)) if n else np.zeros(0)
     upper, lower = _counts_from_eigs(eigs, np.array([energy + eps, energy]), True)
     lhs = int(upper - lower)
@@ -689,14 +695,14 @@ class AlgebraicNumber:
     def __init__(self, min_poly, denominator: int = 1, approx: Optional[float] = None):
         try:  # np.roots and the root pick read the coefficients and denominator as floats
             coeffs = tuple(int(c) for c in min_poly)
-            integral = all(float(c) == int(c) for c in min_poly)
+            floats = [float(c) for c in coeffs]
             float(denominator)
         except OverflowError:
             raise PreconditionError(
                 "min_poly coefficients and denominator must lie within the float range") from None
         if len(coeffs) < 2 or coeffs[-1] != 1:
             raise PreconditionError("min_poly must be monic of degree >= 1")
-        if not integral:
+        if any(c != int(c) for c in min_poly):
             raise PreconditionError("min_poly must have integer coefficients")
         if denominator < 1:
             raise PreconditionError("denominator must be a positive integer")
@@ -715,23 +721,27 @@ class AlgebraicNumber:
         self.denominator = int(denominator)
         self.degree = n
 
-        roots = np.roots(list(reversed(coeffs)))
+        roots = np.roots(floats[::-1])
         if self.degree == 1:
             alpha = float(-coeffs[0])
         else:
             if approx is None:
                 raise PreconditionError("degree > 1 needs an approximate value to pick the root")
             target = approx * denominator
-            alpha_c = roots[np.argmin(np.abs(roots - target))]
-            if abs(alpha_c.imag) > 1e-8 * (1 + abs(alpha_c)):
+            dist = np.abs(roots - target)
+            k = int(np.argmin(dist))
+            # every other root must lie farther from the target by half its distance to root k
+            if not math.isfinite(target) or (dist - dist[k] < np.abs(roots - roots[k]) / 2).any():
+                raise PreconditionError("approx does not single out one root of min_poly")
+            if abs(roots[k].imag) > 1e-8 * (1 + abs(roots[k])):
                 raise PreconditionError("selected root is not real")
-            alpha = float(alpha_c.real)
-        scale = max(1.0, max(abs(float(c)) for c in coeffs))
-        if abs(np.polyval(coeffs[::-1], alpha)) > 1e-6 * scale * max(1.0, abs(alpha)) ** self.degree:
+            alpha = float(roots[k].real)
+        scale = max(1.0, max(map(abs, floats)))
+        if abs(np.polyval(floats[::-1], alpha)) > 1e-6 * scale * max(1.0, abs(alpha)) ** self.degree:
             raise PreconditionError("numeric value does not satisfy the minimal polynomial")
         self.alpha = alpha
         self.value = alpha / denominator
-        self.root_bound = 1.0 + max(abs(float(c)) for c in coeffs[:-1])
+        self.root_bound = 1.0 + max(map(abs, floats[:-1]))
         if len(roots) and np.abs(roots).max() > self.root_bound + 1e-9:
             raise InternalCheckError("certified root bound below a numeric root")
 

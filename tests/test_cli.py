@@ -128,6 +128,11 @@ BAD_ARGS = {
                                      "--minpoly", f"{10 ** 400},1"],
     "denominator_overflow": ["loghoelder", "--L", "2", "--p", "0.5", "--minpoly", "-2,0,1",
                              "--approx", "1.414", "--denom", str(10 ** 400)],
+    # both roots of t^2 - 2 lie 1e308 from 1e308 in floating point, and equally far from 0
+    "approx_far_from_every_root": ["loghoelder", "--L", "2", "--p", "0.5", "--minpoly",
+                                   "-2,0,1", "--approx", "1e308"],
+    "approx_between_two_roots": ["loghoelder", "--L", "2", "--p", "0.5", "--minpoly", "-2,0,1",
+                                 "--approx", "0"],
 }
 # every bad argument is a usage error (exit 2) but these
 BAD_ARGS_EXIT = {"minpoly_degree_beyond_guard": (4, "resource-guard")}
@@ -218,6 +223,25 @@ def test_jumps_beyond_the_norm_bound_eliminate_nothing(tmp_path, capsys, monkeyp
     assert run([*box, "--E", "5", "--out", str(tmp_path / "beyond")]) == 0
     with open(tmp_path / "beyond" / "jumps.csv", newline="") as fh:
         assert [r["exact"] for r in csv.DictReader(fh)] == ["0"]
+
+
+def test_jumps_at_a_non_integer_energy_eliminate_nothing(tmp_path, monkeypatch):
+    # no integer matrix has the eigenvalue 1/2, so the 5,211-site block is not eliminated
+    def refuse(rows):
+        raise AssertionError("eliminated at a non-integer energy")
+
+    monkeypatch.setattr("perclab.spectra._sparse_rank", refuse)
+    assert run(["jumps", "--dim", "2", "--L", "40", "--p", "0.8", "--E", "1/2",
+                "--realizations", "1", "--windows", "1e-6", "--catalog-maxsize", "0",
+                "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "jumps.csv", newline="") as fh:
+        assert [r["exact"] for r in csv.DictReader(fh)] == ["0"]
+
+
+def test_loghoelder_takes_integer_coefficients_a_float_cannot_hold(tmp_path):
+    box = ["loghoelder", "--dim", "1", "--L", "2", "--p", "0.5", "--realizations", "1"]
+    assert run([*box, "--minpoly=-9007199254740993,1", "--out", str(tmp_path / "a")]) == 0
+    assert run([*box, f"--minpoly=-{10 ** 400},1", "--out", str(tmp_path / "b")]) == 2
 
 
 def test_missing_distribution_exit_2(capsys):

@@ -516,7 +516,7 @@ def test_class_grouping_matches_per_block_oracles(name, seed):
     if not m.exact:
         return
     for e in map(Fraction, (-2, -1, 0, 1, 2, 3, Fraction(1, 2))):
-        expect = sum(_nullity_oracle(sub.to_dense_int(), e) for sub in subs)
+        expect = sum(_nullity_oracle(sub.to_dense().astype(int).tolist(), e) for sub in subs)
         assert engine.kernel_dim(e) == expect
 
 
@@ -750,10 +750,10 @@ def test_exact_kernel_dim_matches_sympy_oracle(name, seed):
     engine = BlockSpectra(a)
     subs = [a.submatrix(b) for b in a.blocks()]
     for e in EXACT_ENERGIES:
-        expect = sum(_nullity_oracle(sub.to_dense_int(), e) for sub in subs)
+        expect = sum(_nullity_oracle(sub.to_dense().astype(int).tolist(), e) for sub in subs)
         assert engine.kernel_dim(e) == expect
         assert kernel_dim_exact(a, e) == expect
-        assert kernel_dim_exact(a.to_dense_int(), e) == expect
+        assert kernel_dim_exact(a.to_dense(), e) == expect
 
 
 def test_exact_kernel_dim_on_empty_single_and_guarded_inputs():
@@ -764,6 +764,7 @@ def test_exact_kernel_dim_on_empty_single_and_guarded_inputs():
     path = np.eye(EXACT_DIM_GUARD, k=1, dtype=np.int8)  # int8 keeps the arrays at 16 MB
     assert kernel_dim_exact(path + path.T, 0) == 0  # even path: 0 is no eigenvalue
     bigger = np.zeros((EXACT_DIM_GUARD + 1,) * 2, dtype=np.int8)
+    assert kernel_dim_exact(bigger, Fraction(1, 2)) == 0  # no integer matrix has 1/2 as eigenvalue
     with pytest.raises(ResourceGuardError):
         kernel_dim_exact(bigger, 0)
 
@@ -824,13 +825,20 @@ def test_filtered_kernel_dim_matches_unfiltered_elimination_and_sympy(name, seed
     subs = [a.submatrix(b) for b in a.blocks()]
     w = np.concatenate([np.linalg.eigvalsh(sub.to_dense()) for sub in subs] + [np.zeros(0)])
     energies = _adversarial_energies(w, a.norm_bound, rng)
-    filtered = [BlockSpectra(a).kernel_dim(e) for e in energies]
+    reached, rank = [], spectra._sparse_rank  # the probes that reach an elimination
+    filtered = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_sparse_rank", lambda rows: reached.append(e) or rank(rows))
+        for e in energies:
+            filtered.append(BlockSpectra(a).kernel_dim(e))
+    assert all(e.denominator == 1 for e in reached)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectra, "KERNEL_FILTER_RTOL", math.inf)
         engine = BlockSpectra(a)
         assert [engine.kernel_dim(e) for e in energies] == filtered
     if max(map(len, a.blocks()), default=0) <= 30:
-        blocks = collections.Counter(tuple(map(tuple, sub.to_dense_int())) for sub in subs)
+        blocks = collections.Counter(tuple(map(tuple, sub.to_dense().astype(int).tolist()))
+                                     for sub in subs)
         assert filtered == [sum(k * _nullity_oracle(rows, e) for rows, k in blocks.items())
                             for e in energies]
     # an exact eigenvalue keeps its full multiplicity; every other probe is 0
@@ -868,15 +876,23 @@ def test_the_filter_fires_on_the_d2_exact_shape(eliminations, monkeypatch):
     assert len(eliminations) == pairs
 
 
-def test_the_margin_decides_which_classes_are_eliminated(eliminations):
+def test_the_margin_decides_which_classes_are_eliminated(eliminations, monkeypatch):
     engine = BlockSpectra(dimer())  # eigenvalues -1 and 1, norm bound 2
     margin = Fraction(spectra.KERNEL_FILTER_RTOL) * 2
-    for e, calls in ((1, 1), (1 + margin * Fraction(999, 1000), 1),
-                     (1 + margin * Fraction(1001, 1000), 0), (-1 - margin / 2, 1),
+    # an integer E is eliminated when a computed eigenvalue lies within the margin;
+    # any other rational never is, however near an eigenvalue it lies
+    for e, calls in ((1, 1), (-1, 1), (1 + margin * Fraction(999, 1000), 0),
+                     (1 + margin * Fraction(1001, 1000), 0), (-1 - margin / 2, 0),
                      (Fraction(1, 2), 0), (TINY, 0)):
         del eliminations[:]
         assert engine.kernel_dim(e) == int(abs(e) == 1)
         assert len(eliminations) == calls, e
+    # at E = 0 the eigenvalues lie 1 away: a margin of 0.999 clears the dimer, 1.001 does not
+    for rtol, calls in ((0.5 * 0.999, 0), (0.5 * 1.001, 1)):
+        monkeypatch.setattr(spectra, "KERNEL_FILTER_RTOL", rtol)
+        del eliminations[:]
+        assert engine.kernel_dim(0) == 0
+        assert len(eliminations) == calls, rtol
 
 
 def test_no_block_is_eliminated_beyond_the_norm_bound(monkeypatch):
@@ -889,6 +905,21 @@ def test_no_block_is_eliminated_beyond_the_norm_bound(monkeypatch):
     assert len(engine.large) == 1 and m.norm_bound == 4
     for e in (Fraction(4) + TINY, -Fraction(4) - TINY, Fraction(9, 2), Fraction(-5)):
         assert engine.kernel_dim(e) == 0
+
+
+def test_no_block_is_eliminated_at_a_non_integer_energy(monkeypatch):
+    def refuse(rows):
+        raise AssertionError(f"eliminated a block of dimension {len(rows)}")
+
+    m, _ = _free_box(2, 40)  # one 6,561-site block, beyond EXACT_DIM_GUARD
+    engine = BlockSpectra(m)
+    assert len(engine.large) == 1 and m.dim == 6561
+    with monkeypatch.context() as mp:
+        mp.setattr(spectra, "_sparse_rank", refuse)
+        for e in (Fraction(1, 2), Fraction(7, 3), 1 + TINY):
+            assert engine.kernel_dim(e) == 0
+    with pytest.raises(ResourceGuardError, match="exact elimination"):
+        engine.kernel_dim(2)
 
 
 def test_import_perclab_leaves_sympy_out():
@@ -965,7 +996,7 @@ def test_charpoly_guard_trips_before_any_entry_is_read(monkeypatch):
     def refuse(*args):
         raise AssertionError("read the matrix before checking its dimension")
 
-    monkeypatch.setattr(SymmetricOperatorMatrix, "to_dense_int", refuse)
+    monkeypatch.setattr(SymmetricOperatorMatrix, "to_dense", refuse)
     monkeypatch.setattr(spectra, "_int_array", refuse)
     box = _free_box(2, 40)[0]
     assert box.dim == 6561
@@ -1018,6 +1049,11 @@ def test_luck_bound_eps_domain():
         luck_bound(dimer(), 0, 1.5)
 
 
+def test_luck_bound_refuses_an_energy_beyond_the_float_range():
+    with pytest.raises(PreconditionError, match="float range"):
+        luck_bound([[0]], 10 ** 400, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # algebraic numbers
 
@@ -1026,6 +1062,7 @@ def test_algebraic_number_sqrt2():
     e = AlgebraicNumber((-2, 0, 1), approx=1.4142)
     assert e.degree == 2 and e.denominator == 1
     assert e.value == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert AlgebraicNumber((-2, 0, 1), approx=0.71).value == e.value  # sqrt(2)/2 < 0.71
     assert e.root_bound == 3.0
     c = algebraic_constant(e, 4.0)
     assert c == pytest.approx(7.6835, abs=5e-4)
@@ -1104,6 +1141,15 @@ def test_minimal_polynomial_degree_is_guarded_before_any_work(monkeypatch):
 def test_algebraic_number_refuses_values_beyond_the_float_range(kwargs):
     with pytest.raises(PreconditionError, match="float range"):
         AlgebraicNumber(**kwargs)
+
+
+@pytest.mark.parametrize("approx, denominator", [(1e308, 1), (1e300, 10 ** 10), (0.0, 1),
+                                                  (0.70, 1)])
+def test_algebraic_number_refuses_an_approx_that_singles_out_no_root(approx, denominator):
+    # 1e308 lies nearer +sqrt 2, but both distances round to 1e308; 0.70 lies below
+    # sqrt(2)/2, so not within a quarter of the root distance of +sqrt 2
+    with pytest.raises(PreconditionError, match="single out"):
+        AlgebraicNumber((-2, 0, 1), denominator, approx)
 
 
 def test_algebraic_number_needs_root_choice():
