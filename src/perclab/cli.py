@@ -122,7 +122,7 @@ def _params(args) -> ExperimentParams:
         raise PreconditionError(f"{args.command} takes --L once, got {len(args.L)} values")
     return ExperimentParams(args.dim, _load_kernel(args), _load_dist(args), args.L[0],
                             grid=args.grid, realizations=args.realizations, seed=args.seed,
-                            restriction=args.restriction, workers=args.workers)
+                            restriction=getattr(args, "restriction", "box"), workers=args.workers)
 
 
 def _write_rows(path: str, rows, fmt: str):
@@ -189,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=".")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    def common(p):
+    def common(p, restriction=True):
         base(p)
         p.add_argument("--L", type=int, action="append", required=True,
                        help="box halfwidth (repeatable where a study needs several)")
@@ -200,7 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=grid,
                        default=f"{DEFAULTS.grid_lo}:{DEFAULTS.grid_hi}:{DEFAULTS.grid_steps}")
         p.add_argument("--realizations", type=int, default=DEFAULTS.realizations)
-        p.add_argument("--restriction", choices=["box", "con"], default="box")
+        if restriction:  # gn labels the whole box and convergence runs both restrictions
+            p.add_argument("--restriction", choices=["box", "con"], default="box")
         p.add_argument("--workers", type=int, default=DEFAULTS.workers)
 
     p = sub.add_parser("ids", help="integrated density of states on a grid")
@@ -217,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="0 disables catalog matching")
 
     p = sub.add_parser("gn", help="finite-cluster density profile G(n)")
-    common(p)
+    common(p, restriction=False)
     p.add_argument("--nmax", type=int, default=30)
 
     p = sub.add_parser("wegner", help="eigenvalue-count bound for a.c. laws")
@@ -242,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", type=floats, default="1e-1,1e-2,1e-3")
 
     p = sub.add_parser("convergence", help="volume convergence and box-vs-con study")
-    common(p)
+    common(p, restriction=False)
 
     p = sub.add_parser("catalog", help="finite-cluster spectrum catalog")
     base(p)

@@ -10,7 +10,6 @@ included, not by the matrix dimension.
 
 from __future__ import annotations
 
-import io
 from typing import Optional
 
 import numpy as np
@@ -27,9 +26,10 @@ class SymmetricOperatorMatrix:
     """Sparse symmetric matrix indexed by lattice sites.
 
     Off-diagonal entries are stored once per unordered pair (upper triangle,
-    row < col).  entries are exact integers when the kernel is integer valued
-    and every potential value on the rows is an integer; exact matrices are
-    accepted by the exact-arithmetic spectral routines.
+    row < col), sorted by (row, col).  entries are exact integers when the
+    kernel is integer valued and every potential value on the rows is an
+    integer; exact matrices are accepted by the exact-arithmetic spectral
+    routines.
     """
 
     def __init__(self, sites, diag, off_i, off_j, off_v, box_size, exact, norm_bound):
@@ -47,12 +47,26 @@ class SymmetricOperatorMatrix:
     def dim(self) -> int:
         return len(self.diag)
 
-    def to_sparse(self) -> sp.csr_matrix:
-        n = self.dim
-        i = np.concatenate([self.off_i, self.off_j, np.arange(n)])
-        j = np.concatenate([self.off_j, self.off_i, np.arange(n)])
-        v = np.concatenate([self.off_v, self.off_v, self.diag])
-        return sp.csr_matrix((v, (i, j)), shape=(n, n))
+    def to_sparse(self, perm: Optional[np.ndarray] = None) -> tuple:
+        """(CSR matrix, diagonal slots): columns ascending in each row, a slot for every diagonal
+        entry, zeros included; symmetric, so also the CSC.  perm moves row/column k to perm[k]."""
+        n, i, j, v, diag = self.dim, self.off_i, self.off_j, self.off_v, self.diag
+        if perm is not None:  # only a permuted copy sorts its edges again
+            perm = perm.astype(np.int64)
+            i, j = np.minimum(perm[i], perm[j]), np.maximum(perm[i], perm[j])
+            order = np.argsort(i * n + j)
+            i, j, v, diag = i[order], j[order], v[order], diag[np.argsort(perm)]
+        lo, up = np.bincount(j, minlength=n), np.bincount(i, minlength=n)
+        indptr = np.concatenate(([0], np.cumsum(lo + up + 1))).astype(np.int32)
+        # the e-th upper entry follows the lower and diagonal ones of rows up to its own, and
+        # the e-th lower one, by (j, i), the diagonal and upper ones of the rows before its own
+        lower, e, slots = np.argsort(j * n + i), np.arange(len(i)), indptr[:-1] + lo
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1], dtype=np.result_type(v, diag))
+        for at, cols, vals in ((slots, np.arange(n), diag), (e + np.cumsum(lo + 1)[i], j, v),
+                               (e + (np.cumsum(up + 1) - up - 1)[j[lower]], i[lower], v[lower])):
+            indices[at], data[at] = cols, vals
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n)), slots
 
     def to_dense(self) -> np.ndarray:
         if self.dim > DENSE_GUARD:
@@ -72,8 +86,9 @@ class SymmetricOperatorMatrix:
         block b holds the rows order[starts[b]:starts[b + 1]], ascending.
         """
         if self._layout is None:
-            g = sp.csr_matrix((np.ones(len(self.off_i), dtype=np.int8), (self.off_i, self.off_j)),
-                              shape=(self.dim, self.dim))
+            # the upper half of to_sparse() suffices: the labelling reads the graph undirected
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(self.off_i, minlength=self.dim))))
+            g = sp.csr_matrix((self.off_v, self.off_j, indptr), shape=(self.dim, self.dim))
             nb, labels = csgraph.connected_components(g, directed=False)
             starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=nb))))
             # stable sort keeps row indices ascending within each label
@@ -85,33 +100,6 @@ class SymmetricOperatorMatrix:
         order, starts, _ = self.block_layout()
         bounds = starts.tolist()
         return [order[s:e] for s, e in zip(bounds, bounds[1:])]
-
-    def submatrix(self, rows: np.ndarray) -> "SymmetricOperatorMatrix":
-        """Restriction to a subset of rows (rows given in ascending order)."""
-        rows = np.asarray(rows)
-        pos = np.full(self.dim, -1, dtype=np.int64)
-        pos[rows] = np.arange(len(rows))
-        keep = (pos[self.off_i] >= 0) & (pos[self.off_j] >= 0)
-        return SymmetricOperatorMatrix(
-            self.sites[rows],
-            self.diag[rows],
-            pos[self.off_i[keep]],
-            pos[self.off_j[keep]],
-            self.off_v[keep],
-            self.box_size,
-            self.exact,
-            self.norm_bound,
-        )
-
-    def to_coordinate_text(self) -> str:
-        """Symmetric coordinate export: header 'dim box_size', then i j value."""
-        buf = io.StringIO()
-        buf.write(f"{self.dim} {self.box_size}\n")
-        for k in range(self.dim):
-            buf.write(f"{k} {k} {self.diag[k]:.17g}\n")
-        for i, j, v in zip(self.off_i.tolist(), self.off_j.tolist(), self.off_v.tolist()):
-            buf.write(f"{i} {j} {v:.17g}\n")
-        return buf.getvalue()
 
 
 def assemble(config: Configuration, kernel: HoppingKernel,

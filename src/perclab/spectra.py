@@ -150,19 +150,6 @@ def _splu_negcount(shifted_csc, permc_spec: str, tol: float):
     return int((d < 0).sum()), lu.perm_c.copy()  # a view would keep the factor alive
 
 
-def _csc_with_diagonal(sub: SymmetricOperatorMatrix, perm: np.ndarray):
-    """sub as a CSC matrix whose row and column k move to perm[k], with a slot
-    for every diagonal entry (zeros included), and the data positions of those
-    slots in column order; the diagonal values are left for the caller."""
-    n = sub.dim
-    i = perm[np.concatenate([sub.off_i, sub.off_j, np.arange(n)])]
-    j = perm[np.concatenate([sub.off_j, sub.off_i, np.arange(n)])]
-    v = np.concatenate([sub.off_v, sub.off_v, np.ones(n)])
-    a = sp.csc_matrix((v, (i, j)), shape=(n, n))
-    col = np.repeat(np.arange(n), np.diff(a.indptr))
-    return a, np.flatnonzero(a.indices == col)
-
-
 def _tridiagonal_form(sub: SymmetricOperatorMatrix):
     """(diag, subdiagonal) if the block is tridiagonal in row order, else None."""
     n = sub.dim
@@ -214,8 +201,8 @@ class _LargeBlock:
     def _negcount(self, shift: float, tol: float) -> Optional[int]:
         """#{lambda < shift} by sparse LU, or None when a pivot aborts."""
         if self._csc is None:
-            self._csc = (*_csc_with_diagonal(self.sub, np.arange(self.sub.dim)),
-                         self.sub.diag.copy())
+            a, slots = self.sub.to_sparse()
+            self._csc = a.T, slots, self.sub.diag.copy()  # the same arrays, read as CSC
         a, slots, diag = self._csc
         a.data[slots] = diag - shift
         neg, perm = _splu_negcount(a, "NATURAL" if self._ordered else "MMD_AT_PLUS_A", tol)
@@ -223,11 +210,10 @@ class _LargeBlock:
             # permute into the chosen order within the copy's own arrays: arrays
             # first allocated now, above a freed factorization, would fragment
             # the heap and raise the peak memory of every later factorization
-            b, b_slots = _csc_with_diagonal(self.sub, perm)
-            for old, new in ((a.indptr, b.indptr), (a.indices, b.indices),
-                             (a.data, b.data), (slots, b_slots)):
+            b, b_slots = self.sub.to_sparse(perm)
+            for old, new in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data),
+                             (slots, b_slots), (diag, b.data[b_slots])):
                 old[:] = new
-            diag[perm] = self.sub.diag
             self._ordered = True
         return neg
 
@@ -512,14 +498,14 @@ def _integer_energy(energy) -> Optional[int]:
         return int(energy) if energy.denominator == 1 else None
     if isinstance(energy, float) and energy.is_integer():
         return int(energy)
-    raise PreconditionError(f"exact routines need a rational energy, got {energy!r}")
+    raise PreconditionError(f"energy must be a numbers.Rational or integer float, not {energy!r}")
 
 
 def _int_array(matrix) -> np.ndarray:
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError("expected a square matrix")
-    if not np.all(a == np.floor(a)):
+    if a.dtype.kind not in "biu" and not np.all(a == np.floor(a)):
         raise TypeError("matrix entries are not exact integers")
     return a
 
@@ -987,7 +973,7 @@ def mirror_embed(support, q_on_splus, f, energies, kernel: Optional[HoppingKerne
     row_of = {tuple(s): i for i, s in enumerate(local.sites.tolist())}
     fvec = np.zeros((local.dim, len(energies)))
     fvec[[row_of[s] for s in sites]] = f
-    bad = ~(np.abs(local.to_sparse() @ fvec - fvec * energies) <= tol)
+    bad = ~(np.abs(local.to_sparse()[0] @ fvec - fvec * energies) <= tol)
     for j in np.flatnonzero(bad.any(axis=0))[:1]:  # the first failing column
         for s in support:
             if bad[row_of[s], j]:
@@ -1020,7 +1006,7 @@ def mirror_embed(support, q_on_splus, f, energies, kernel: Optional[HoppingKerne
     g = np.zeros((matrix.dim, len(energies)), order="F")
     g[[row_of[s] for s in sites]] = f
     g[[row_of[reflect(s)] for s in sites]] = -f
-    hg = matrix.to_sparse() @ g
+    hg = matrix.to_sparse()[0] @ g
     # one norm per column: a norm along an axis may round differently
     residuals = np.array([np.linalg.norm(hg[:, j] - e * g[:, j])
                           for j, e in enumerate(energies.tolist())])

@@ -88,6 +88,10 @@ BAD_ARGS = {
     "ids_second_L": ["ids", "--L", "3", "--L", "0", "--p", "0.5"],
     "jumps_second_L": ["jumps", "--L", "3", "--L", "4", "--p", "0.5", "--E", "0"],
     "gn_second_L": ["gn", "--L", "3", "--L", "4", "--p", "0.5", "--nmax", "2"],
+    # gn labels the whole box and convergence runs both restrictions
+    "gn_restriction": ["gn", "--L", "3", "--p", "0.5", "--nmax", "2", "--restriction", "box"],
+    "convergence_restriction": ["convergence", "--L", "2", "--L", "3", "--p", "0.5",
+                                "--restriction", "con"],
     "wegner_second_L": ["wegner", "--L", "3", "--L", "4", "--dist", ATOMLESS, "--a", "-6",
                         "--b", "6", "--interval", "0:0.5"],
     "continuity_second_L": ["continuity", "--L", "3", "--L", "4", "--dist", ATOMLESS,
@@ -332,6 +336,8 @@ def test_json_format(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "gn.json").read_text())
     assert {"n", "G", "stderr"} <= set(payload[0])
+    # gn takes no --restriction, and its manifest records the box it labels
+    assert json.loads((tmp_path / "run.json").read_text())["params"]["restriction"] == "box"
 
 
 def test_jumps_csv_schema_and_catalog_match(tmp_path):

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perclab import (Configuration, LatticeRegion, adjacency_kernel, assemble,
                      bernoulli_distribution, sample_configuration, validate_kernel)
 from perclab.errors import PreconditionError, ResourceGuardError
+
+from oracles import coo_csr, submatrix
 
 
 def _config(region, values_by_site):
@@ -62,7 +66,7 @@ def test_restriction_consistency():
         pytest.skip("degenerate draw")
     drop_row = full.dim // 2
     kept_rows = np.array([i for i in range(full.dim) if i != drop_row])
-    sub = full.submatrix(kept_rows)
+    sub = submatrix(full, kept_rows)
     dropped_region_idx = reg.index_of(tuple(full.sites[drop_row]))
     site_set = np.array([i for i in reg.core_indices if i != dropped_region_idx])
     direct = assemble(c, k, site_set)
@@ -124,21 +128,6 @@ def test_dense_guard():
         m.to_dense()
 
 
-def test_coordinate_export_roundtrip():
-    reg = LatticeRegion.box(1, 1, 1)
-    c = _config(reg, {(-1,): 1.0, (0,): 2.0, (1,): 3.0})
-    m = assemble(c, adjacency_kernel(1))
-    text = m.to_coordinate_text()
-    lines = text.strip().split("\n")
-    assert lines[0] == f"{m.dim} {m.box_size}"
-    triples = [tuple(line.split()) for line in lines[1:]]
-    rebuilt = np.zeros((m.dim, m.dim))
-    for i, j, v in triples:
-        rebuilt[int(i), int(j)] = float(v)
-        rebuilt[int(j), int(i)] = float(v)
-    assert np.array_equal(rebuilt, m.to_dense())
-
-
 def _check_layout(m):
     """block_layout() against its contract, and blocks() against the layout."""
     order, starts, labels = m.block_layout()
@@ -178,3 +167,26 @@ def test_block_layout_without_edges_and_with_interleaved_blocks():
         config = sample_configuration(bernoulli_distribution(0.5), reg, seed, 0)
         blocks = _check_layout(assemble(config, adjacency_kernel(2)))
         assert any(b[-1] > c[0] for b, c in zip(blocks, blocks[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@example(dim=2, L=2, closed=1.0, checkerboard=False, seed=0, permuted=False)  # empty
+@example(dim=3, L=0, closed=0.0, checkerboard=False, seed=0, permuted=True)  # one site
+@example(dim=2, L=3, closed=0.0, checkerboard=True, seed=0, permuted=True)  # no edges
+@given(dim=st.integers(1, 3), L=st.integers(0, 3), closed=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       checkerboard=st.booleans(), seed=st.integers(0, 2 ** 32 - 1), permuted=st.booleans())
+def test_to_sparse_matches_scipy_coo(dim, L, closed, checkerboard, seed, permuted):
+    """to_sparse() gives scipy's canonical arrays, dtypes included, and the diagonal
+    slots, zero diagonal entries included, with and without a permutation."""
+    rng = np.random.default_rng(seed)
+    reg = LatticeRegion.box(dim, L, 1)
+    vals = rng.choice([0.0, 1.0, -2.5], len(reg))
+    vals[rng.random(len(reg)) < closed] = np.inf
+    if checkerboard:
+        vals[reg.sites.sum(axis=1) % 2 == 1] = np.inf
+    m = assemble(Configuration(reg, vals), adjacency_kernel(dim))
+    perm = rng.permutation(m.dim) if permuted else None
+    (got, slots), (want, want_slots) = m.to_sparse(perm), coo_csr(m, perm)
+    for x, y in ((got.indptr, want.indptr), (got.indices, want.indices),
+                 (got.data, want.data), (slots, want_slots)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)

@@ -4,6 +4,7 @@ import collections
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,8 @@ from perclab.model import stencil_halo
 from perclab.operator import SymmetricOperatorMatrix
 from perclab.spectra import (CLUSTER_TOL, DENSE_BLOCK_MAX, EXACT_DIM_GUARD, BlockSpectra,
                              _exact_groups, _group_heads)
+
+from oracles import submatrix
 
 INF = float("inf")
 
@@ -88,7 +91,7 @@ def test_count_matches_dense_on_random_percolation_ensemble():
         m = assemble(c, k)
         if m.dim == 0:
             continue
-        w = np.sort(np.concatenate([np.linalg.eigvalsh(m.submatrix(b).to_dense())
+        w = np.sort(np.concatenate([np.linalg.eigvalsh(submatrix(m, b).to_dense())
                                     for b in m.blocks()]))
         shifts = rng.uniform(-4.2, 4.2, 20)
         expect = [int((w < e - 1e-9).sum()) for e in shifts]
@@ -151,7 +154,7 @@ def _free_box(dim, halfwidth):
 
 
 def _per_block_eigs(m):
-    return np.sort(np.concatenate([np.linalg.eigvalsh(m.submatrix(b).to_dense())
+    return np.sort(np.concatenate([np.linalg.eigvalsh(submatrix(m, b).to_dense())
                                    for b in m.blocks()]))
 
 
@@ -502,7 +505,7 @@ def test_class_grouping_matches_per_block_oracles(name, seed):
     region = LatticeRegion.box(2, halfwidth, kernel.hop_range)
     m = assemble(sample_configuration(law, region, seed, 0), kernel)
     engine = BlockSpectra(m)
-    subs = [m.submatrix(b) for b in m.blocks()]
+    subs = [submatrix(m, b) for b in m.blocks()]
     assert sum(_class_sizes(engine)) == len(subs)
 
     # every eigenvalue lambda_k, probed at lambda_k + {-2 tau, 0, 2 tau}
@@ -532,7 +535,7 @@ def test_projector_diagonal_equals_the_per_block_loop_bitwise(name, seed):
     grid = np.linspace(-5, 5, 23)
     expect = np.zeros(len(grid))
     for rows in m.blocks():
-        w, v = np.linalg.eigh(m.submatrix(rows).to_dense())
+        w, v = np.linalg.eigh(submatrix(m, rows).to_dense())
         take = mask[rows]
         if take.any():
             cum = np.cumsum(v[take] ** 2, axis=1)
@@ -549,7 +552,7 @@ def test_blocks_differing_in_one_diagonal_entry_are_different_classes():
                  (1,): 0.0, (2,): 1e-12, (4,): 0.0, (5,): 0.0}, 5)
     engine = BlockSpectra(m)
     assert _class_sizes(engine) == [1, 3]
-    w = np.sort(np.concatenate([np.linalg.eigvalsh(m.submatrix(b).to_dense())
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(submatrix(m, b).to_dense())
                                 for b in m.blocks()]))
     assert np.allclose(engine.small_eigs, w, rtol=0, atol=1e-15)
 
@@ -748,7 +751,7 @@ def test_exact_kernel_dim_matches_sympy_oracle(name, seed):
             assert kernel_dim_exact(a, e) == _nullity_oracle(a.tolist(), e)
         return
     engine = BlockSpectra(a)
-    subs = [a.submatrix(b) for b in a.blocks()]
+    subs = [submatrix(a, b) for b in a.blocks()]
     for e in EXACT_ENERGIES:
         expect = sum(_nullity_oracle(sub.to_dense().astype(int).tolist(), e) for sub in subs)
         assert engine.kernel_dim(e) == expect
@@ -764,7 +767,14 @@ def test_exact_kernel_dim_on_empty_single_and_guarded_inputs():
     path = np.eye(EXACT_DIM_GUARD, k=1, dtype=np.int8)  # int8 keeps the arrays at 16 MB
     assert kernel_dim_exact(path + path.T, 0) == 0  # even path: 0 is no eigenvalue
     bigger = np.zeros((EXACT_DIM_GUARD + 1,) * 2, dtype=np.int8)
-    assert kernel_dim_exact(bigger, Fraction(1, 2)) == 0  # no integer matrix has 1/2 as eigenvalue
+    tracemalloc.start()
+    try:
+        # no integer matrix has 1/2 as eigenvalue
+        assert kernel_dim_exact(bigger, Fraction(1, 2)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bigger.nbytes  # an integer array is not checked for integrality
     with pytest.raises(ResourceGuardError):
         kernel_dim_exact(bigger, 0)
 
@@ -822,7 +832,7 @@ def test_filtered_kernel_dim_matches_unfiltered_elimination_and_sympy(name, seed
             for e in energies:
                 assert kernel_dim_exact(a, e) == _nullity_oracle(a.tolist(), e)
         return
-    subs = [a.submatrix(b) for b in a.blocks()]
+    subs = [submatrix(a, b) for b in a.blocks()]
     w = np.concatenate([np.linalg.eigvalsh(sub.to_dense()) for sub in subs] + [np.zeros(0)])
     energies = _adversarial_energies(w, a.norm_bound, rng)
     reached, rank = [], spectra._sparse_rank  # the probes that reach an elimination
@@ -1052,6 +1062,14 @@ def test_luck_bound_eps_domain():
 def test_luck_bound_refuses_an_energy_beyond_the_float_range():
     with pytest.raises(PreconditionError, match="float range"):
         luck_bound([[0]], 10 ** 400, 0.1)
+
+
+@pytest.mark.parametrize("call", [lambda e: luck_bound([[0]], e, 0.1),
+                                  lambda e: kernel_dim_exact([[0]], e)])
+def test_exact_routines_name_the_energies_they_take(call):
+    with pytest.raises(PreconditionError) as info:
+        call(0.5)
+    assert str(info.value) == "energy must be a numbers.Rational or integer float, not 0.5"
 
 
 # ---------------------------------------------------------------------------
@@ -1331,7 +1349,8 @@ def test_mirror_dimer_state():
         assert by_site[(-2,)] == pytest.approx(-r)
         assert by_site[(-3,)] == pytest.approx(-sign * r)
         assert by_site[(-1,)] == 0.0
-        assert np.linalg.norm(m.to_sparse() @ g[:, k] - energy * g[:, k]) == resid[k] <= 1e-12 * 2
+        h = m.to_sparse()[0]
+        assert np.linalg.norm(h @ g[:, k] - energy * g[:, k]) == resid[k] <= 1e-12 * 2
         assert g[:, k] @ g[:, k] == pytest.approx(2 * (f[0, k] ** 2 + f[1, k] ** 2))
 
 
