@@ -9,16 +9,18 @@ factorization (Sturm recurrence or sparse LU) of A - (E -/+ tau)*Id, with a
 fall back to eigvalsh whenever a pivot lands within tolerance of zero; the
 block is counted from that spectrum from then on.
 Sparse LU orders a block once, at its first energy, and writes each later
-shift into the diagonal of the ordered copy in place.  Shifts beyond the norm
-bound are not factored at all.  Where floating point cannot decide, exact
-integer routines take over, over the integers alone: a rational eigenvalue
-of an integer matrix is an integer, so any other rational E has kernel
-dimension 0.  Every rank over Q is decided by one sparse fraction-free
-elimination, _sparse_rank: jump multiplicities at an integer E on the edge
-lists of the classes with an eigenvalue near E (BlockSpectra.kernel_dim), and
-the squarefreeness of a minimal polynomial as the rank of its Sylvester
-matrix with its derivative.  Characteristic polynomials for log-Holder come
-from one guarded integer read of the matrix.
+shift into the diagonal of the ordered copy in place, at panel width 1 when
+that first factor stores under _FILL_PER_ROW entries per row (about 10 for
+d = 2 clusters): wide panels pay only on large dense supernodes.  Shifts
+beyond the norm bound are not factored at all.
+Where floating point cannot decide, exact integer routines take over, over the
+integers alone: a rational eigenvalue of an integer matrix is an integer, so
+any other rational E has kernel dimension 0.  Every rank over Q is decided by
+one sparse fraction-free elimination, _sparse_rank: jump multiplicities at an
+integer E on the edge lists of the classes with an eigenvalue near E
+(BlockSpectra.kernel_dim), and the squarefreeness of a minimal polynomial as
+the rank of its Sylvester matrix with its derivative.  Characteristic
+polynomials for log-Holder come from one guarded integer read of the matrix.
 
 A realization has many cluster blocks but few distinct ones, so BlockSpectra
 groups identical blocks, by a 64-bit key per block checked against the
@@ -67,6 +69,7 @@ KERNEL_FILTER_RTOL = 1e-6  # kernel_dim's margin, times max(1, norm bound)
 ASSIGNMENT_GUARD = 10 ** 6
 WITNESS_SITE_GUARD = 10 ** 8  # most witness sites a catalog's entries may list
 _CATALOG_STACK = 1 << 16  # matrix entries per batched eigvalsh in the catalog
+_FILL_PER_ROW = 128       # below this fill per row a large block refactors at panel width 1
 
 
 # ---------------------------------------------------------------------------
@@ -130,24 +133,20 @@ def _sturm_negcount_multi(diag, sub, energies, tol):
     return neg, aborted
 
 
-def _splu_negcount(shifted_csc, permc_spec: str, tol: float):
-    """(negative-pivot count, column order) of a symmetric-mode sparse LU
-    factorization; (None, None) when a pivot lands within tol of zero."""
+def _splu_negcount(shifted_csc, permc_spec: str, panel_size: Optional[int], tol: float):
+    """(negative-pivot count, column order, entries stored in L and U) of a symmetric-mode
+    sparse LU at a panel width (None: scipy's); (None, None, None) if a pivot is within tol."""
     try:
-        lu = spla.splu(
-            shifted_csc,
-            permc_spec=permc_spec,
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
+        lu = spla.splu(shifted_csc, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                       panel_size=panel_size, options=dict(SymmetricMode=True))
     except RuntimeError:
-        return None, None  # exactly singular
+        return None, None, None  # exactly singular
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None, None  # off-diagonal pivoting broke symmetry
+        return None, None, None  # off-diagonal pivoting broke symmetry
     d = lu.U.diagonal()
     if np.abs(d).min() <= tol:
-        return None, None
-    return int((d < 0).sum()), lu.perm_c.copy()  # a view would keep the factor alive
+        return None, None, None
+    return int((d < 0).sum()), lu.perm_c.copy(), lu.nnz  # a view would keep the factor alive
 
 
 def _tridiagonal_form(sub: SymmetricOperatorMatrix):
@@ -170,7 +169,9 @@ class _LargeBlock:
     The sparse LU route keeps one CSC copy of A and writes diag - s into its
     diagonal slots in place.  The first factorization picks the fill-reducing
     order (MMD on A + A^T); the copy is then permuted into that order once, and
-    every later shift is factored in its natural order.  Once a pivot has
+    every later shift is factored in its natural order: at panel width 1 if the
+    first factor stored under _FILL_PER_ROW entries per row (width 1 won at 9
+    and 116, lost at 140 and 263), else at scipy's default.  Once a pivot has
     aborted to the dense spectrum, the block is counted from that spectrum.
     It stands for the mult identical blocks of its class.
     """
@@ -182,6 +183,7 @@ class _LargeBlock:
         self._tri = _tridiagonal_form(sub)
         self._csc = None  # (matrix, diagonal slots, diagonal values) in factor order
         self._ordered = False
+        self._panel = None  # SuperLU panel width of the refactors; None is scipy's default
 
     def eigs(self) -> np.ndarray:
         """The dense spectrum, by eigvalsh.  It answers the shift that aborted, which
@@ -205,8 +207,11 @@ class _LargeBlock:
             self._csc = a.T, slots, self.sub.diag.copy()  # the same arrays, read as CSC
         a, slots, diag = self._csc
         a.data[slots] = diag - shift
-        neg, perm = _splu_negcount(a, "NATURAL" if self._ordered else "MMD_AT_PLUS_A", tol)
-        if neg is not None and not self._ordered:
+        if self._ordered:
+            return _splu_negcount(a, "NATURAL", self._panel, tol)[0]
+        neg, perm, fill = _splu_negcount(a, "MMD_AT_PLUS_A", None, tol)
+        if neg is not None:
+            self._panel = 1 if fill < _FILL_PER_ROW * self.sub.dim else None
             # permute into the chosen order within the copy's own arrays: arrays
             # first allocated now, above a freed factorization, would fragment
             # the heap and raise the peak memory of every later factorization

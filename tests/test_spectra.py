@@ -149,7 +149,7 @@ def _free_box(dim, halfwidth):
     vals = np.full(len(reg), INF)
     vals[reg.core_indices] = 0.0
     line = 2 * np.cos(np.arange(1, 2 * halfwidth + 2) * np.pi / (2 * halfwidth + 2))
-    w = line if dim == 1 else np.add.outer(line, line).ravel()
+    w = functools.reduce(np.add.outer, [line] * dim).ravel()
     return assemble(Configuration(reg, vals), adjacency_kernel(dim)), np.sort(w)
 
 
@@ -218,7 +218,7 @@ def test_every_counting_route_returns_the_dense_snap_count(name, data):
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: sparse LU counts carry no backward-error "
                                        "certificate, and on the 47 x 47 free box some are wrong")
 def test_sparse_lu_counts_on_the_free_box_match_the_closed_form():
-    # today: 679 and 1119 strict, 1090 and 1811 inclusive
+    # today: 679 and 1122 strict, 1087 and 1812 inclusive
     m, w = _free_box(2, 23)
     engine = BlockSpectra(m)
     strict, inclusive = np.array([-1.0, 0.0]), np.array([0.0, 2.0])
@@ -368,6 +368,95 @@ def test_zero_diagonal_block_keeps_its_slots_when_the_shift_zeroes_them(splu_cal
     assert (engine.counts_below([0.5], True)[0] - engine.counts_below([-0.5])[0]
             == int(((w >= -0.5 - CLUSTER_TOL) & (w <= 0.5 + CLUSTER_TOL)).sum()))
     assert splu_calls == ["MMD_AT_PLUS_A", "NATURAL"]
+
+
+# Panel width: a class's first factorization runs at scipy's default panel
+# width, and its fill (entries stored in L and U) sets the width of every later
+# refactor: 1 below spectra._FILL_PER_ROW entries per row, else the default.
+# The percolation giant stores about 10 per row, the free 19 x 19 x 19 box
+# about 198.
+
+WIDTH_CASES = [("percolation_p075_L30", 1), ("free_box_19x19x19", None)]
+
+
+@functools.lru_cache(maxsize=None)
+def _width_case(name):
+    """(matrix, sorted spectrum, energies at least 1e-3 from every eigenvalue)."""
+    m, w = _count_case(name)[:2] if name in COUNT_CASES else _free_box(3, 9)
+    grid = np.linspace(-5.5, 5.5, 12) + 0.0137
+    energies = grid[np.abs(grid[:, None] - w).min(axis=1) >= 1e-3]
+    assert len(energies) >= 8
+    return m, w, energies
+
+
+@pytest.mark.parametrize("name, width", WIDTH_CASES)
+def test_panel_width_follows_the_fill_and_both_widths_count_exactly(name, width, monkeypatch):
+    m, w, energies = _width_case(name)
+    expect = (np.searchsorted(w, energies - CLUSTER_TOL, side="left").tolist(),
+              np.searchsorted(w, energies + CLUSTER_TOL, side="right").tolist())
+    # the rule's width, then the other one, forced by moving the threshold
+    forced = (0, None) if width == 1 else (math.inf, 1)
+    for threshold, panel in ((spectra._FILL_PER_ROW, width), forced):
+        monkeypatch.setattr(spectra, "_FILL_PER_ROW", threshold)
+        engine = BlockSpectra(m)
+        assert (engine.counts_below(energies).tolist(),
+                engine.counts_below(energies, inclusive=True).tolist()) == expect
+        assert [lb._panel for lb in engine.large] == [panel]
+
+
+@pytest.fixture
+def splu_widths(monkeypatch):
+    calls, splu = [], spectra.spla.splu
+
+    def recording(a, permc_spec=None, panel_size=None, **kwargs):
+        calls.append((a.shape[0], permc_spec, panel_size))
+        return splu(a, permc_spec=permc_spec, panel_size=panel_size, **kwargs)
+
+    monkeypatch.setattr(spectra.spla, "splu", recording)
+    return calls
+
+
+@pytest.mark.parametrize("name, width", WIDTH_CASES + [("four_free_boxes", 1)])
+def test_each_class_is_ordered_at_the_default_width_and_refactored_at_its_own(name, width,
+                                                                              splu_widths):
+    m = _four_free_boxes()[0] if name == "four_free_boxes" else _width_case(name)[0]
+    engine = BlockSpectra(m)
+    grid = np.linspace(-3.3, 3.3, 4) + 0.0137
+    engine.counts_below(grid)
+    engine.counts_below(grid, inclusive=True)
+    assert [lb._panel for lb in engine.large] == [width] * len(engine.large)
+    for lb in engine.large:
+        calls = [c[1:] for c in splu_widths if c[0] == lb.sub.dim]
+        assert calls == [("MMD_AT_PLUS_A", None)] + [("NATURAL", width)] * 7
+
+
+def test_both_panel_widths_leave_the_heap_intact():
+    # glibc's malloc checks (MALLOC_CHECK_=3, with libc_malloc_debug preloaded
+    # from glibc 2.34 on) abort a process whose heap a factorization corrupted,
+    # as SuperLU at panel width 32 does under scipy 1.17.1; the child, not
+    # pytest, takes the abort
+    import os
+    import subprocess
+    import sys
+    code = """if True:
+        import numpy as np
+        from perclab import (Configuration, LatticeRegion, adjacency_kernel, assemble,
+                             bernoulli_distribution, sample_configuration)
+        from perclab.spectra import BlockSpectra
+        c = sample_configuration(bernoulli_distribution(0.75), LatticeRegion.box(2, 30, 1), 0, 0)
+        reg = LatticeRegion.box(3, 9, 1)
+        vals = np.full(len(reg), np.inf)
+        vals[reg.core_indices] = 0.0
+        for m in (assemble(c, adjacency_kernel(2)),
+                  assemble(Configuration(reg, vals), adjacency_kernel(3))):
+            engine = BlockSpectra(m)
+            engine.counts_below(np.linspace(-3.3, 3.3, 4) + 0.0137)
+            print([lb._panel for lb in engine.large])
+    """
+    env = dict(os.environ, MALLOC_CHECK_="3", LD_PRELOAD="libc_malloc_debug.so.0")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[1]", "[None]"]
 
 
 # Dense blocks: a bipartite block (every edge joins sites of opposite
