@@ -10,7 +10,7 @@ from .model import (Configuration, HoppingKernel, LatticeRegion,
                     validate_kernel)
 from .operator import SymmetricOperatorMatrix, assemble
 from .percolation import (ClusterLabeling, SubgraphCatalog, connected_region,
-                          enumerate_connected_subgraphs, finite_cluster_fraction,
+                          enumerate_connected_subgraphs, finite_cluster_profile,
                           label_clusters)
 from .spectra import (AlgebraicNumber, BlockSpectra, FiniteSpectrumCatalog,
                       SpectrumSample, algebraic_constant, charpoly_exact,

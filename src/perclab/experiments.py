@@ -25,7 +25,7 @@ from .model import (HoppingKernel, LatticeRegion, PotentialDistribution,
                     sample_configuration)
 from .operator import assemble
 from .percolation import (boundary_cluster_fraction, connected_region,
-                          label_clusters)
+                          finite_cluster_profile, label_clusters)
 from .spectra import (AlgebraicNumber, BlockSpectra, FiniteSpectrumCatalog,
                       algebraic_constant)
 
@@ -309,22 +309,14 @@ def cluster_density_profile(params: ExperimentParams, n_max: int) -> ClusterDens
     The infinite-cluster proxy is the mean fraction of box sites in clusters
     that reach the outer boundary ring.
     """
-    if n_max < 1:
+    if n_max < 1:  # refused before any realization is sampled
         raise PreconditionError("n_max must be >= 1")
     region = params.region()
-    n_core = region.n_core
 
     def one(i):
         config = sample_configuration(params.dist, region, params.seed, i)
         labeling = label_clusters(config, params.kernel)
-        pos = labeling.core_clusters()
-        sizes = labeling.cluster_sizes[pos[~labeling.touches_outer[pos]]]
-        profile = np.zeros(n_max)
-        if len(sizes):
-            hist = np.bincount(np.minimum(sizes, n_max + 1), minlength=n_max + 2)
-            suffix = np.cumsum(hist[::-1])[::-1]
-            profile = suffix[1:n_max + 1] / n_core
-        return profile, boundary_cluster_fraction(labeling)
+        return finite_cluster_profile(labeling, n_max), boundary_cluster_fraction(labeling)
 
     out = _map_realizations(one, params.realizations, params.workers)
     profiles = np.stack([p for p, _ in out])

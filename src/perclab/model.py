@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from numbers import Real
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -309,12 +309,11 @@ class LatticeRegion:
     first use; more than BOX_SITE_MAX cells are refused before allocation.
     """
 
-    def __init__(self, dim, sites, n_core, shell, halfwidth=None, collar=0):
+    def __init__(self, dim, sites, n_core, shell, collar=0):
         self.dim = dim
         self.sites = sites
         self.n_core = n_core
         self.shell = shell  # l1 graph distance to the core, 0 on the core
-        self.halfwidth = halfwidth
         self.collar = collar
         self._index = None
         self._table = None
@@ -335,7 +334,7 @@ class LatticeRegion:
         sites = np.vstack([core, ring])
         shell = np.concatenate([np.zeros(len(core), np.int64),
                                 excess[(excess >= 1) & (excess <= collar)]])
-        return LatticeRegion(dim, sites, len(core), shell, halfwidth, collar)
+        return LatticeRegion(dim, sites, len(core), shell, collar)
 
     @staticmethod
     def explicit(core_sites, collar: int = 0) -> "LatticeRegion":
@@ -360,7 +359,7 @@ class LatticeRegion:
         ring = sorted(s for s, v in dist.items() if v > 0)
         sites = np.array(core + ring, dtype=np.int64).reshape(len(dist), dim)
         shell = np.array([0] * len(core) + [dist[s] for s in ring], dtype=np.int64)
-        return LatticeRegion(dim, sites, len(core), shell, None, collar)
+        return LatticeRegion(dim, sites, len(core), shell, collar)
 
     def __len__(self):
         return len(self.sites)
@@ -400,6 +399,9 @@ class LatticeRegion:
 
     def shift_indices(self, indices: np.ndarray, offset) -> np.ndarray:
         """Indices of sites[indices] + offset within the region, -1 if absent."""
+        if len(offset) != self.dim:
+            raise PreconditionError(
+                f"offset {tuple(offset)} does not have the region's dimension {self.dim}")
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             return indices.copy()
@@ -474,8 +476,6 @@ class Configuration:
 
     region: LatticeRegion
     values: np.ndarray
-    seed: Optional[int] = None
-    realization_index: Optional[int] = None
 
     @property
     def active(self) -> np.ndarray:
@@ -495,4 +495,4 @@ def sample_configuration(dist: PotentialDistribution, region: LatticeRegion,
     u = site_uniforms(seed, realization_index, region.sites)
     values = dist.quantile(u)
     values.setflags(write=False)
-    return Configuration(region, values, seed, realization_index)
+    return Configuration(region, values)

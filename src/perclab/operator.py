@@ -3,9 +3,8 @@
 A restriction of the random Hamiltonian to a site set keeps a row only for
 active sites (a site with potential +inf is outside the operator domain).
 Truncation is plain restriction: no boundary correction of any kind.  The
-matrix carries the full box size of its originating region as metadata,
-because counting functions normalize by the box size, inactive sites
-included, not by the matrix dimension.
+drivers normalize counts by the full box size of the region (its n_core),
+inactive sites included, not by the matrix dimension.
 """
 
 from __future__ import annotations
@@ -32,13 +31,12 @@ class SymmetricOperatorMatrix:
     routines.
     """
 
-    def __init__(self, sites, diag, off_i, off_j, off_v, box_size, exact, norm_bound):
+    def __init__(self, sites, diag, off_i, off_j, off_v, exact, norm_bound):
         self.sites = sites
         self.diag = diag
         self.off_i = off_i
         self.off_j = off_j
         self.off_v = off_v
-        self.box_size = int(box_size)
         self.exact = bool(exact)
         self.norm_bound = float(norm_bound)
         self._layout = None
@@ -155,5 +153,4 @@ def assemble(config: Configuration, kernel: HoppingKernel,
     max_q = float(np.max(np.abs(diag))) if n else 0.0
     norm_bound = kernel.norm_bound + max_q
     sites = region.sites[rows_region] if n else region.sites[:0]
-    return SymmetricOperatorMatrix(sites, diag, off_i, off_j, off_v,
-                                   region.n_core, exact, norm_bound)
+    return SymmetricOperatorMatrix(sites, diag, off_i, off_j, off_v, exact, norm_bound)

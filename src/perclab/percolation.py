@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .errors import InternalCheckError, PreconditionError, ResourceGuardError
+from .errors import PreconditionError, ResourceGuardError
 from .model import Configuration, HoppingKernel
 
 SUBGRAPH_GUARD = 10 ** 7
@@ -26,22 +26,19 @@ SUBGRAPH_GUARD = 10 ** 7
 class ClusterLabeling:
     """Deterministic labeling of active sites over core + collar.
 
-    labels[i] is the smallest region index in site i's cluster, or -1 for
-    inactive sites, and positions[i] is that cluster's position in
-    cluster_ids, or -1.  Sizes count active sites over the whole sampled
-    window.
+    positions[i] is the number of site i's cluster, or -1 for an inactive
+    site; cluster_sizes and touches_outer are indexed by that number.  Sizes
+    count active sites over the whole sampled window, and touches_outer marks
+    the clusters that reach the outer R-ring.
     """
 
     config: Configuration
-    hop_range: int
-    labels: np.ndarray
-    cluster_ids: np.ndarray        # sorted unique labels
-    cluster_sizes: np.ndarray      # aligned with cluster_ids
-    touches_outer: np.ndarray      # aligned bool: cluster reaches the outer R-ring
     positions: np.ndarray
+    cluster_sizes: np.ndarray
+    touches_outer: np.ndarray
 
     def core_clusters(self) -> np.ndarray:
-        """Cluster position of each active core site, in site order."""
+        """Cluster number of each active core site, in site order."""
         pos = self.positions[: self.config.region.n_core]
         return pos[pos >= 0]
 
@@ -69,22 +66,12 @@ def label_clusters(config: Configuration, kernel: HoppingKernel) -> ClusterLabel
     indptr = np.concatenate(([0], np.cumsum(ok.ravel())[width - 1::width]))
     graph = sp.csr_matrix((np.ones(indptr[-1]), nbr[ok], indptr), shape=(len(idx),) * 2)
     count, component = csgraph.connected_components(graph, directed=False)
-
-    # csgraph numbers components in the order its search from node 0 up meets
-    # them, so a number first appears at its cluster's smallest member
-    firsts = np.flatnonzero(np.diff(np.maximum.accumulate(component), prepend=-1))
-    if len(firsts) != count:
-        raise InternalCheckError("connected components not numbered by smallest member")
-    ids = idx[firsts]
     positions = np.full(n, -1, dtype=np.int64)
     positions[idx] = component
-    labels = np.full(n, -1, dtype=np.int64)
-    labels[idx] = ids[component]
     shell = region.shell[idx]
     touching = np.zeros(count, dtype=bool)
     touching[component[(shell >= 1) & (shell <= kernel.hop_range)]] = True
-    return ClusterLabeling(config, kernel.hop_range, labels, ids,
-                           np.bincount(component, minlength=count), touching, positions)
+    return ClusterLabeling(config, positions, np.bincount(component, minlength=count), touching)
 
 
 def connected_region(config: Configuration, kernel: HoppingKernel) -> np.ndarray:
@@ -98,19 +85,20 @@ def connected_region(config: Configuration, kernel: HoppingKernel) -> np.ndarray
     return np.flatnonzero(np.append(labeling.touches_outer, False)[pos])
 
 
-def finite_cluster_fraction(labeling: ClusterLabeling, n: int) -> float:
-    """Fraction of core sites in finite clusters of size >= n.
+def finite_cluster_profile(labeling: ClusterLabeling, n_max: int) -> np.ndarray:
+    """G(n) for n = 1..n_max: the fraction of core sites in finite clusters of size >= n.
 
     Normalized by the full box size, inactive sites included.  A cluster that
     reaches the outer ring is not finite for this purpose; any other cluster
     containing a core site lies entirely inside the window, so its size is
     exact.
     """
-    if n < 1:
-        raise PreconditionError("n must be a positive integer")
+    if n_max < 1:
+        raise PreconditionError("n_max must be >= 1")
     pos = labeling.core_clusters()
-    good = (~labeling.touches_outer[pos]) & (labeling.cluster_sizes[pos] >= n)
-    return float(good.sum()) / labeling.config.region.n_core
+    sizes = labeling.cluster_sizes[pos[~labeling.touches_outer[pos]]]
+    hist = np.bincount(np.minimum(sizes, n_max + 1), minlength=n_max + 2)
+    return np.cumsum(hist[::-1])[::-1][1:n_max + 1] / labeling.config.region.n_core
 
 
 def boundary_cluster_fraction(labeling: ClusterLabeling) -> float:

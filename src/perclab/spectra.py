@@ -311,7 +311,7 @@ class BlockSpectra:
 
         self._classes, self._class_of = self._group(lens, ecount)
         self.large = [_LargeBlock(SymmetricOperatorMatrix(
-            *self._parts(b), matrix.box_size, matrix.exact, matrix.norm_bound), k)
+            *self._parts(b), matrix.exact, matrix.norm_bound), k)
             for size, reps, mult in self._classes if size > DENSE_BLOCK_MAX
             for b, k in zip(reps.tolist(), mult.tolist())]
 

@@ -13,8 +13,7 @@ def submatrix(m: SymmetricOperatorMatrix, rows) -> SymmetricOperatorMatrix:
     pos[rows] = np.arange(len(rows))
     keep = (pos[m.off_i] >= 0) & (pos[m.off_j] >= 0)
     return SymmetricOperatorMatrix(m.sites[rows], m.diag[rows], pos[m.off_i[keep]],
-                                   pos[m.off_j[keep]], m.off_v[keep], m.box_size, m.exact,
-                                   m.norm_bound)
+                                   pos[m.off_j[keep]], m.off_v[keep], m.exact, m.norm_bound)
 
 
 def coo_csr(m: SymmetricOperatorMatrix, perm=None):

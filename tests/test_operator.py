@@ -29,7 +29,6 @@ def test_dimer():
     assert m.dim == 2
     assert m.to_dense().tolist() == [[0.0, 1.0], [1.0, 0.0]]
     assert m.exact
-    assert m.box_size == 5
 
 
 def test_2x2_block_is_4_cycle():
@@ -100,6 +99,14 @@ def test_site_outside_region_errors():
     c = Configuration(reg, np.zeros(len(reg)))
     with pytest.raises(PreconditionError):
         assemble(c, adjacency_kernel(1), np.array([999]))
+
+
+def test_kernel_of_another_dimension_errors():
+    # refused before the empty-input shortcut, so an inactive box is refused too
+    reg = LatticeRegion.box(2, 2, 1)
+    for vals in (np.zeros(len(reg)), np.full(len(reg), np.inf)):
+        with pytest.raises(PreconditionError, match="dimension 2"):
+            assemble(Configuration(reg, vals), adjacency_kernel(3))
 
 
 def test_exact_flag_and_norm_bound():

@@ -7,7 +7,7 @@ import pytest
 
 from perclab import (Configuration, LatticeRegion, adjacency_kernel,
                      bernoulli_distribution, connected_region,
-                     enumerate_connected_subgraphs, finite_cluster_fraction,
+                     enumerate_connected_subgraphs, finite_cluster_profile,
                      label_clusters, sample_configuration)
 from perclab.errors import PreconditionError, ResourceGuardError
 from perclab.model import validate_kernel
@@ -26,7 +26,7 @@ def test_full_lattice_single_cluster():
     reg = LatticeRegion.box(2, 2, 1)
     c = Configuration(reg, np.zeros(len(reg)))
     lab = label_clusters(c, adjacency_kernel(2))
-    assert len(lab.cluster_ids) == 1
+    assert len(lab.cluster_sizes) == 1
     assert lab.cluster_sizes[0] == len(reg)
     assert lab.touches_outer[0]
 
@@ -35,7 +35,7 @@ def test_single_site_cluster():
     reg = LatticeRegion.box(2, 2, 1)
     c = _config(reg, [(0, 0)])
     lab = label_clusters(c, adjacency_kernel(2))
-    assert len(lab.cluster_ids) == 1
+    assert len(lab.cluster_sizes) == 1
     assert lab.cluster_sizes[0] == 1
     assert not lab.touches_outer[0]
 
@@ -45,11 +45,11 @@ def test_gap_disconnects_in_d1():
     c = _config(reg, [(0,), (1,), (3,)])
     lab = label_clusters(c, adjacency_kernel(1))
     idx = reg.site_index()
-    l0 = lab.labels[idx[(0,)]]
-    l1 = lab.labels[idx[(1,)]]
-    l3 = lab.labels[idx[(3,)]]
+    l0 = lab.positions[idx[(0,)]]
+    l1 = lab.positions[idx[(1,)]]
+    l3 = lab.positions[idx[(3,)]]
     assert l0 == l1 != l3
-    assert lab.labels[idx[(2,)]] == -1
+    assert lab.positions[idx[(2,)]] == -1
 
 
 def test_collar_requirement():
@@ -57,6 +57,14 @@ def test_collar_requirement():
     c = _config(reg, [(0,)])
     with pytest.raises(PreconditionError):
         label_clusters(c, adjacency_kernel(1))
+
+
+def test_label_clusters_refuses_a_kernel_of_another_dimension():
+    # refused before the empty-input shortcut, so an inactive box is refused too
+    reg = LatticeRegion.box(2, 2, 1)
+    for vals in (np.zeros(len(reg)), np.full(len(reg), np.inf)):
+        with pytest.raises(PreconditionError, match="dimension 2"):
+            label_clusters(Configuration(reg, vals), adjacency_kernel(3))
 
 
 def test_connected_region_full_and_empty():
@@ -104,16 +112,14 @@ def test_finite_cluster_fraction_examples():
 
     full = Configuration(reg, np.zeros(len(reg)))
     lab = label_clusters(full, k)
-    for n in (1, 2, 5):
-        assert finite_cluster_fraction(lab, n) == 0.0
+    assert finite_cluster_profile(lab, 5).tolist() == [0.0] * 5
     assert boundary_cluster_fraction(lab) == 1.0
 
     lone = _config(reg, [(0,)])
     lab = label_clusters(lone, k)
-    assert finite_cluster_fraction(lab, 1) == pytest.approx(1 / 9)
-    assert finite_cluster_fraction(lab, 2) == 0.0
+    assert finite_cluster_profile(lab, 2).tolist() == [1 / 9, 0.0]
     with pytest.raises(PreconditionError):
-        finite_cluster_fraction(lab, 0)
+        finite_cluster_profile(lab, 0)
 
 
 def test_finite_classification_grows_with_box():
@@ -129,16 +135,14 @@ def test_finite_classification_grows_with_box():
         ls = label_clusters(cs, k)
         lb = label_clusters(cb, k)
         big_index = big.site_index()
-        pos_s = np.searchsorted(ls.cluster_ids, ls.labels)
-        pos_b = np.searchsorted(lb.cluster_ids, lb.labels)
         for idx in range(small.n_core):
-            lab = ls.labels[idx]
-            if lab < 0 or ls.touches_outer[pos_s[idx]]:
+            ps = ls.positions[idx]
+            if ps < 0 or ls.touches_outer[ps]:
                 continue
-            j = big_index[tuple(small.sites[idx])]
-            assert lb.labels[j] >= 0
-            assert not lb.touches_outer[pos_b[j]]
-            assert lb.cluster_sizes[pos_b[j]] == ls.cluster_sizes[pos_s[idx]]
+            pb = lb.positions[big_index[tuple(small.sites[idx])]]
+            assert pb >= 0
+            assert not lb.touches_outer[pb]
+            assert lb.cluster_sizes[pb] == ls.cluster_sizes[ps]
 
 
 def test_fraction_monotone_in_n():
@@ -147,20 +151,22 @@ def test_fraction_monotone_in_n():
     d = bernoulli_distribution(0.45)
     for i in range(5):
         lab = label_clusters(sample_configuration(d, reg, 31, i), k)
-        fr = [finite_cluster_fraction(lab, n) for n in range(1, 12)]
+        fr = finite_cluster_profile(lab, 11).tolist()
         assert all(a >= b for a, b in zip(fr, fr[1:]))
 
 
 def _bfs_labeling(config, kernel):
     """Oracle: breadth-first search from each unlabelled active site in index
-    order, so every cluster is found first at its smallest member index."""
+    order.  labels[i] is the site the search of i's cluster started from, or
+    -1; sizes and touches map that site to its cluster's size and whether the
+    cluster reaches the outer ring."""
     region = config.region
     index = region.site_index()
     sites = [tuple(s) for s in region.sites.tolist()]
     active = config.active.tolist()
     moves = [v for v, _ in kernel.offsets if any(v)]
     labels = [-1] * len(sites)
-    ids, sizes, touches = [], [], []
+    sizes, touches = {}, {}
     for start in range(len(sites)):
         if not active[start] or labels[start] >= 0:
             continue
@@ -172,10 +178,9 @@ def _bfs_labeling(config, kernel):
                 if j is not None and active[j] and labels[j] < 0:
                     labels[j] = start
                     members.append(j)
-        ids.append(start)
-        sizes.append(len(members))
-        touches.append(any(1 <= region.shell[i] <= kernel.hop_range for i in members))
-    return labels, ids, sizes, touches
+        sizes[start] = len(members)
+        touches[start] = any(1 <= region.shell[i] <= kernel.hop_range for i in members)
+    return labels, sizes, touches
 
 
 RANGE2_KERNEL = validate_kernel({(1, 0): 1, (-1, 0): 1, (0, 2): 1, (0, -2): 1,
@@ -187,19 +192,37 @@ RANGE2_KERNEL = validate_kernel({(1, 0): 1, (-1, 0): 1, (0, 2): 1, (0, -2): 1,
     (adjacency_kernel(2), 10, 0.55),
     (adjacency_kernel(3), 4, 0.3),
     (RANGE2_KERNEL, 8, 0.35),
+    (adjacency_kernel(2), 4, 0.0),
+    (adjacency_kernel(2), 4, 1.0),
+    (adjacency_kernel(2), 0, 0.5),
 ])
 def test_label_clusters_matches_bfs_oracle(kernel, halfwidth, p):
-    reg = LatticeRegion.box(kernel.dim, halfwidth, kernel.hop_range)
-    for i in range(4):
+    # the drivers sample a collar of 2R; only the ring 1..R counts as outer
+    for collar, i in itertools.product((kernel.hop_range, 2 * kernel.hop_range), range(4)):
+        reg = LatticeRegion.box(kernel.dim, halfwidth, collar)
         c = sample_configuration(bernoulli_distribution(p), reg, 17, i)
         lab = label_clusters(c, kernel)
-        labels, ids, sizes, touches = _bfs_labeling(c, kernel)
-        assert lab.labels.tolist() == labels
-        assert lab.cluster_ids.tolist() == ids
-        assert lab.cluster_sizes.tolist() == sizes
-        assert lab.touches_outer.tolist() == touches
-        position = {x: k for k, x in enumerate(ids)}
-        assert lab.positions.tolist() == [position.get(x, -1) for x in labels]
+        labels, sizes, touches = _bfs_labeling(c, kernel)
+        # the BFS partition up to renumbering: numbers and labels pair one to one
+        pos = lab.positions.tolist()
+        pairs = set(zip(pos, labels))
+        assert len(pairs) == len({x for x, _ in pairs}) == len({y for _, y in pairs})
+        assert all((x < 0) == (y < 0) for x, y in pairs)
+        assert sorted({x for x in pos if x >= 0}) == list(range(len(sizes)))
+        assert len(lab.cluster_sizes) == len(lab.touches_outer) == len(sizes)
+        assert [lab.cluster_sizes[x] if x >= 0 else 0 for x in pos] == \
+            [sizes.get(y, 0) for y in labels]
+        assert [bool(lab.touches_outer[x]) if x >= 0 else None for x in pos] == \
+            [touches.get(y) for y in labels]
+
+        core = labels[: reg.n_core]
+        n_max = max(sizes.values(), default=0) + 1
+        expect = [sum(y >= 0 and not touches[y] and sizes[y] >= n for y in core) / reg.n_core
+                  for n in range(1, n_max + 1)]
+        assert finite_cluster_profile(lab, n_max).tolist() == expect
+        outer = [j for j, y in enumerate(core) if y >= 0 and touches[y]]
+        assert boundary_cluster_fraction(lab) == len(outer) / reg.n_core
+        assert connected_region(c, kernel).tolist() == outer
 
 
 # ---------------------------------------------------------------------------

@@ -689,7 +689,7 @@ def test_exact_groups_equal_the_row_sort(rows):
 
 def _rebuilt(m, diag):
     return SymmetricOperatorMatrix(m.sites, np.array(diag), m.off_i, m.off_j, m.off_v,
-                                   m.box_size, m.exact, m.norm_bound)
+                                   m.exact, m.norm_bound)
 
 
 def test_blocks_differing_in_the_sign_of_zeros_are_different_classes(row_sorts):
