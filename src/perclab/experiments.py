@@ -156,8 +156,6 @@ class EmpiricalIDS:
     realizations: int
     halfwidth: int
     restriction: str
-    box_size: int
-    estimator: str
 
     def to_csv_rows(self):
         rows = [("E", "mean", "stderr", "M", "L", "restriction")]
@@ -196,7 +194,7 @@ def estimate_ids(params: ExperimentParams, estimator: str = "counting") -> Empir
     samples = np.stack(_engine_rows(params, row))
     mean, stderr = _mean_stderr(samples)
     return EmpiricalIDS(grid, mean, stderr, params.realizations, params.halfwidth,
-                        params.restriction, box_size, estimator)
+                        params.restriction)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +210,6 @@ class JumpEstimate:
     exact_jump: Optional[float]
     exact_stderr: Optional[float]
     catalog_energy: Optional[float]
-    catalog_distance: Optional[float]
     realizations: int
     halfwidth: int
 
@@ -270,13 +267,13 @@ def ids_jump(params: ExperimentParams, energies: Sequence, windows: Sequence[flo
         else:
             em, es = _mean_stderr(exacts)
             exact_jump, exact_stderr = float(em[0]), float(es[0])
-        catalog_energy = catalog_distance = None
+        catalog_energy = None
         if catalog is not None and len(catalog.entries):
             entry, dist = catalog.nearest(e_float)
             if dist <= 1e-6:
-                catalog_energy, catalog_distance = float(entry.energy), float(dist)
+                catalog_energy = float(entry.energy)
         estimates.append(JumpEstimate(e_float, windows, jumps, stderrs, exact_jump,
-                                      exact_stderr, catalog_energy, catalog_distance,
+                                      exact_stderr, catalog_energy,
                                       params.realizations, params.halfwidth))
     return estimates
 
@@ -335,20 +332,16 @@ def cluster_density_profile(params: ExperimentParams, n_max: int) -> ClusterDens
 @dataclass
 class WegnerReport:
     interval: tuple
-    a: float
-    b: float
     delta: float
     s_minus: float
     s_plus: float
     density_sup: float
-    mu_window: float
     constant: float
     lhs_mean: float
     lhs_stderr: float
     ratio: float
     realizations: int
     halfwidth: int
-    box_size: int
 
     def to_csv_rows(self):
         return [
@@ -402,9 +395,9 @@ def wegner_experiment(params: ExperimentParams, intervals: Sequence, a: float,
         mean, stderr = _mean_stderr(np.array([[counts[j]] for counts in out]))
         lhs = float(mean[0])
         ratio = lhs / ((hi - lo) * box_size)
-        reports.append(WegnerReport((lo, hi), a, b, delta, s_minus, s_plus, f_sup,
-                                    mu_window, constant, lhs, float(stderr[0]), ratio,
-                                    params.realizations, params.halfwidth, box_size))
+        reports.append(WegnerReport((lo, hi), delta, s_minus, s_plus, f_sup, constant, lhs,
+                                    float(stderr[0]), ratio, params.realizations,
+                                    params.halfwidth))
     return reports
 
 
@@ -519,7 +512,6 @@ def log_hoelder_check(params: ExperimentParams, energy: AlgebraicNumber,
 
 @dataclass
 class ConvergenceReport:
-    halfwidths: tuple
     grid: np.ndarray
     ids: dict                     # (L, restriction) -> EmpiricalIDS
     cauchy: list                  # (L_small, L_big, restriction, sup_diff)
@@ -557,4 +549,4 @@ def convergence_study(params: ExperimentParams, halfwidths: Sequence[int]) -> Co
     for L in halfwidths:
         d = float(np.abs(ids[(L, "box")].mean - ids[(L, "con")].mean).max())
         box_vs_con.append((L, d))
-    return ConvergenceReport(halfwidths, params.grid, ids, cauchy, box_vs_con)
+    return ConvergenceReport(params.grid, ids, cauchy, box_vs_con)

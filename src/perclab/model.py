@@ -416,6 +416,27 @@ class LatticeRegion:
             inside &= (x >= lo[k]) & (x <= hi[k])
         return np.where(inside, table[np.where(inside, target, 0)], -1)
 
+    def edges(self, indices, offsets) -> tuple:
+        """The lattice graph on sites[indices]: arrays (i, j, c), one entry per
+        pair with sites[indices[j]] = sites[indices[i]] + offsets[c].
+
+        Entries come row by row, and within a row in the order of offsets.  For
+        indices in lexicographic site order and the ascending, lexicographically
+        positive offsets of HoppingKernel.half_offsets(), that is the upper
+        triangle sorted by (i, j): s + v > s puts j after i, and s + v1 < s + v2
+        when v1 < v2 keeps each row's columns ascending.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        rank = np.full(len(self) + 1, -1, dtype=np.int64)  # last entry: shift_indices' -1
+        rank[indices] = np.arange(len(indices))
+        table = np.empty((len(indices), len(offsets)), dtype=np.int64)
+        for c, v in enumerate(offsets):
+            table[:, c] = rank[self.shift_indices(indices, v)]
+        table = table.ravel()
+        at = np.flatnonzero(table >= 0)
+        i, c = np.divmod(at, len(offsets))
+        return i, table[at], c
+
 
 # ---------------------------------------------------------------------------
 # boundaries

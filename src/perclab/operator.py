@@ -13,10 +13,10 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from .errors import PreconditionError, ResourceGuardError
 from .model import Configuration, HoppingKernel
+from .percolation import components
 
 DENSE_GUARD = 8192
 
@@ -84,10 +84,7 @@ class SymmetricOperatorMatrix:
         block b holds the rows order[starts[b]:starts[b + 1]], ascending.
         """
         if self._layout is None:
-            # the upper half of to_sparse() suffices: the labelling reads the graph undirected
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(self.off_i, minlength=self.dim))))
-            g = sp.csr_matrix((self.off_v, self.off_j, indptr), shape=(self.dim, self.dim))
-            nb, labels = csgraph.connected_components(g, directed=False)
+            nb, labels = components(self.dim, self.off_i, self.off_j)
             starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=nb))))
             # stable sort keeps row indices ascending within each label
             self._layout = np.argsort(labels, kind="stable"), starts, labels
@@ -108,6 +105,8 @@ def assemble(config: Configuration, kernel: HoppingKernel,
     core).  The diagonal holds the finite potential values plus any constant
     stencil term; the (i, j) entry is the stencil coefficient of the
     displacement site_j - site_i whenever both sites are active and chosen.
+    Rows are sorted lexicographically by site, so LatticeRegion.edges over the
+    kernel's half offsets returns the (i, j)-sorted upper triangle as it is.
     """
     region = config.region
     if site_indices is None:
@@ -118,34 +117,17 @@ def assemble(config: Configuration, kernel: HoppingKernel,
 
     q = config.values[site_indices]
     rows_region = site_indices[np.isfinite(q)]
-    # global lexicographic row order regardless of how indices were passed
+    # lexicographic row order, however site_indices are ordered: edges() relies on it
     if len(rows_region):
         chosen = region.sites[rows_region]
         order = np.lexsort(chosen.T[::-1])
         rows_region = rows_region[order]
     n = len(rows_region)
 
-    row_of = np.full(len(region) + 1, -1, dtype=np.int64)  # last entry: shift_indices' -1
-    row_of[rows_region] = np.arange(n)
-
     diag = config.values[rows_region] + kernel.diagonal_shift()
-    pieces_i, pieces_j, pieces_v = [], [], []
-    for v, c in kernel.half_offsets():
-        j = row_of[region.shift_indices(rows_region, v)]
-        i = np.flatnonzero(j >= 0)
-        j = j[i]
-        pieces_i.append(np.minimum(i, j))
-        pieces_j.append(np.maximum(i, j))
-        pieces_v.append(np.full(len(i), c))
-    if pieces_i:
-        off_i = np.concatenate(pieces_i)
-        off_j = np.concatenate(pieces_j)
-        off_v = np.concatenate(pieces_v)
-        order = np.lexsort((off_j, off_i))
-        off_i, off_j, off_v = off_i[order], off_j[order], off_v[order]
-    else:
-        off_i = off_j = np.zeros(0, dtype=np.int64)
-        off_v = np.zeros(0)
+    half = kernel.half_offsets()
+    off_i, off_j, col = region.edges(rows_region, [v for v, _ in half])
+    off_v = np.array([c for _, c in half], dtype=np.float64)[col]
 
     exact = kernel.integer_valued and bool(
         np.all(diag == np.floor(diag)) if n else True

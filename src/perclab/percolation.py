@@ -53,25 +53,23 @@ def label_clusters(config: Configuration, kernel: HoppingKernel) -> ClusterLabel
         )
     n = len(region)
     idx = np.flatnonzero(config.active)
-    # rank among the active sites, else -1; last entry: shift_indices' -1
-    rank = np.full(n + 1, -1, dtype=np.int64)
-    rank[idx] = np.arange(len(idx))
-    # row per active site, column per half offset (at least one): neighbour ranks
-    half = kernel.half_offsets()
-    width = max(len(half), 1)
-    nbr = np.full((len(idx), width), -1, dtype=np.int64)
-    for j, (v, _) in enumerate(half):
-        nbr[:, j] = rank[region.shift_indices(idx, v)]
-    ok = nbr >= 0
-    indptr = np.concatenate(([0], np.cumsum(ok.ravel())[width - 1::width]))
-    graph = sp.csr_matrix((np.ones(indptr[-1]), nbr[ok], indptr), shape=(len(idx),) * 2)
-    count, component = csgraph.connected_components(graph, directed=False)
+    i, j, _ = region.edges(idx, [v for v, _ in kernel.half_offsets()])
+    count, component = components(len(idx), i, j)
     positions = np.full(n, -1, dtype=np.int64)
     positions[idx] = component
     shell = region.shell[idx]
     touching = np.zeros(count, dtype=bool)
     touching[component[(shell >= 1) & (shell <= kernel.hop_range)]] = True
     return ClusterLabeling(config, positions, np.bincount(component, minlength=count), touching)
+
+
+def components(n: int, i: np.ndarray, j: np.ndarray) -> tuple:
+    """(count, labels) of the connected components of the graph on 0..n-1 with
+    undirected edges (i[e], j[e]); i must be ascending, as LatticeRegion.edges
+    returns it."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=n))))
+    graph = sp.csr_matrix((np.ones(len(i)), j, indptr), shape=(n, n))
+    return csgraph.connected_components(graph, directed=False)
 
 
 def connected_region(config: Configuration, kernel: HoppingKernel) -> np.ndarray:

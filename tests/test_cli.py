@@ -420,6 +420,10 @@ def test_console_entry_point():
     assert "perclab" in proc.stdout
 
 
+ANISOTROPIC_RANGE_2 = json.dumps({"offsets": [
+    [[1, 0], 1], [[-1, 0], 1], [[0, 1], 0.5], [[0, -1], 0.5], [[2, 0], 0.25], [[-2, 0], 0.25],
+    [[1, 1], -0.75], [[-1, -1], -0.75], [[0, 0], 0.125]]})
+
 # sha256 of CSVs written by the code as it was before the jumps and Wegner
 # drivers took all their energies and intervals in one pass over realizations
 # (jumps, wegner, continuity), and before the projector estimator solved one
@@ -494,11 +498,29 @@ GOLDEN = {
     # recorded before mirror_embed took every state of a shape in one call
     "mirror_d2_maxsize_6": (["mirror", "--dim", "2", "--maxsize", "6"],
                             "deca051054840e3a0683eda21cf8deb4bdcdcf82b409b4baa574de52831b1f67"),
+    # recorded before clusters, matrix edges and blocks came from one edge list
+    # (LatticeRegion.edges) labelled by one components call: box and con
+    # restrictions, a range-2 kernel with a diagonal term, a kernel with no
+    # off-diagonal offset, and d=3
+    "convergence": (["convergence", "--dim", "2", "--L", "4", "--L", "8", "--p", "0.7",
+                     "--realizations", "3"],
+                    "2aa7fafcb07806938087753572bd11bec4d6365ca0fd5d9ab7ef72f480527642"),
+    "ids_con": (["ids", "--dim", "2", "--L", "8", "--p", "0.6", "--restriction", "con",
+                 "--realizations", "3"],
+                "834d6ea184a5033a952953d392818285080d3266fc82c7174a6f15fd46daca9a"),
+    "gn_anisotropic": (["gn", "--dim", "2", "--L", "20", "--p", "0.5", "--nmax", "8",
+                        "--realizations", "3", "--kernel", ANISOTROPIC_RANGE_2],
+                       "4ad0f08dc2757684fa25d5ff33cdf99a69eba73d13fa23210cb8de1df35b7a83"),
+    "ids_anisotropic": (["ids", "--dim", "2", "--L", "6", "--p", "0.6", "--realizations", "3",
+                         "--kernel", ANISOTROPIC_RANGE_2],
+                        "3c5efb0b23e95032fe6efa06e6986542eade0335dc64fdfae67c09be8c35fdce"),
+    "ids_diagonal_kernel": (["ids", "--dim", "2", "--L", "4", "--p", "0.6", "--realizations", "2",
+                             "--kernel", '{"offsets": [[[0, 0], 1]]}'],
+                            "028142dc155c037a7c26a04905ec7a921968cd167845cef70b18304b56d5546d"),
+    "jumps_d3": (["jumps", "--dim", "3", "--L", "4", "--p", "0.8", "--E", "0", "--E", "1",
+                  "--windows", "1e-6", "--catalog-maxsize", "0", "--realizations", "3"],
+                 "9c9cbff958bc3e4630cde950f57daf50ec52cf1fb62bb52c0c51163f751beaa2"),
 }
-
-ANISOTROPIC_RANGE_2 = json.dumps({"offsets": [
-    [[1, 0], 1], [[-1, 0], 1], [[0, 1], 0.5], [[0, -1], 0.5], [[2, 0], 0.25], [[-2, 0], 0.25],
-    [[1, 1], -0.75], [[-1, -1], -0.75], [[0, 0], 0.125]]})
 
 # sha256 of catalog.csv and subgraphs.json written by the code as it was
 # before subgraphs were grown as packed integers and the catalog

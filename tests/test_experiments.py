@@ -10,7 +10,7 @@ import pytest
 from perclab import (ExperimentParams, PotentialDistribution, adjacency_kernel,
                      bernoulli_distribution, cluster_density_profile,
                      continuity_probe, convergence_study, estimate_ids,
-                     ids_jump, log_hoelder_check, wegner_experiment)
+                     ids_jump, log_hoelder_check, validate_kernel, wegner_experiment)
 from perclab.errors import HypothesisViolationError, PreconditionError
 from perclab.experiments import _box_region, _realization
 from perclab.spectra import DENSE_BLOCK_MAX, AlgebraicNumber, BlockSpectra
@@ -454,6 +454,33 @@ def test_convergence_study_bit_identical_across_workers():
         y = b.ids[key]
         assert x.mean.tobytes() == y.mean.tobytes() and x.stderr.tobytes() == y.stderr.tobytes()
     assert a.to_csv_rows() == b.to_csv_rows()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: bernoulli_params(1, 0.5, 3, grid=np.array([])), PreconditionError,
+                 "nonempty 1-d array", id="empty_grid"),
+    pytest.param(lambda: bernoulli_params(1, 0.5, 3, m=0), PreconditionError,
+                 "realizations must be >= 1", id="no_realizations"),
+    pytest.param(lambda: bernoulli_params(1, 0.5, 3, restriction="ball"), PreconditionError,
+                 "restriction must be one of", id="unknown_restriction"),
+    pytest.param(lambda: ExperimentParams(2, K1, bernoulli_distribution(0.5), 3),
+                 PreconditionError, "kernel dimension does not match dim",
+                 id="kernel_dimension"),
+    pytest.param(lambda: estimate_ids(bernoulli_params(1, 0.5, 3), "trace"), PreconditionError,
+                 "unknown estimator", id="unknown_estimator"),
+    pytest.param(lambda: estimate_ids(bernoulli_params(1, 0.5, 0), "projector_diag"),
+                 PreconditionError, "interior layer", id="no_interior_layer"),
+    pytest.param(lambda: cluster_density_profile(bernoulli_params(1, 0.5, 3), 0),
+                 PreconditionError, "n_max must be >= 1", id="n_max_zero"),
+    pytest.param(lambda: log_hoelder_check(
+        ExperimentParams(1, validate_kernel({(1,): 0.5, (-1,): 0.5}), bernoulli_distribution(0.5),
+                         3), AlgebraicNumber.from_rational(0), [0.1]),
+        HypothesisViolationError, "kernel coefficients must be integers",
+        id="log_hoelder_non_integer_kernel"),
+])
+def test_drivers_refuse_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_convergence_needs_two_sizes():

@@ -362,3 +362,32 @@ def test_mixed_law_sample_values_land_in_support():
     # rough mass check, 5 sigma
     frac_atom = (finite == -1.0).mean() * c.active_fraction if len(finite) else 0
     assert abs(np.isinf(c.values[:reg.n_core]).mean() - 0.3) < 5 * math.sqrt(0.3 * 0.7 / reg.n_core)
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: validate_kernel([((1,), 1), ((-1,), 1), ((1,), 2)]),
+                 "listed twice with different coefficients", id="duplicate_offset"),
+    pytest.param(lambda: validate_kernel({(1,): 1, (-1,): 1, (1, 0): 1, (-1, 0): 1}),
+                 "mixed dimension", id="mixed_offset_dimension"),
+    pytest.param(lambda: PotentialDistribution(atoms=((0.0, -0.5), (1.0, 1.5))),
+                 "negative or NaN weight", id="negative_weight"),
+    pytest.param(lambda: LatticeRegion.explicit([]), "at least one site", id="empty_explicit"),
+    pytest.param(lambda: LatticeRegion.explicit([(0,), (0, 1)]), "mixed dimension",
+                 id="explicit_mixed_dimension"),
+    pytest.param(lambda: LatticeRegion.box(1, 2).index_of((5,)), r"\(5,\) not in region",
+                 id="index_of_absent_site"),
+    pytest.param(lambda: boundary(LatticeRegion.box(1, 2, 1), [(0,)], 1, "middle"),
+                 "side must be inner or outer", id="boundary_side"),
+    pytest.param(lambda: boundary(LatticeRegion.box(1, 2, 1), [(0,)], -1, "inner"),
+                 "l must be nonnegative", id="boundary_l"),
+    pytest.param(lambda: sample_configuration(bernoulli_distribution(0.5),
+                                              LatticeRegion.box(1, 2), 0, -1),
+                 "realization index must be nonnegative", id="negative_realization"),
+])
+def test_model_refuses_bad_input(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()

@@ -127,6 +127,42 @@ def test_diagonal_stencil_term():
     assert np.array_equal(np.diag(m.to_dense()), [3.0, 3.0])
 
 
+def _range_2_kernel(dim):
+    """Unit hops, a double hop along axis 0, a diagonal hop and a diagonal term,
+    each with its own coefficient."""
+    unit = [tuple(int(k == a) for k in range(dim)) for a in range(dim)]
+    coeffs = {v: 1.0 + a for a, v in enumerate(unit)}
+    coeffs[(2,) + (0,) * (dim - 1)] = 0.25
+    if dim > 1:
+        coeffs[(1, -1) + (0,) * (dim - 2)] = -0.75
+    offsets = {(0,) * dim: 0.125}
+    for v, c in coeffs.items():
+        offsets[v] = offsets[tuple(-x for x in v)] = c
+    return validate_kernel(offsets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), L=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
+       ranged=st.booleans())
+def test_edges_are_the_sorted_upper_triangle_for_any_site_order(dim, L, seed, ranged):
+    """assemble takes its edges from LatticeRegion.edges unsorted: for any order and
+    choice of site_indices, collar sites included, they are the pairs of rows one
+    stencil offset apart, row < column, sorted by (row, column)."""
+    rng = np.random.default_rng(seed)
+    k = _range_2_kernel(dim) if ranged else adjacency_kernel(dim)
+    reg = LatticeRegion.box(dim, L, k.hop_range)
+    vals = np.where(rng.random(len(reg)) < 0.7, 0.0, np.inf)
+    chosen = rng.permutation(len(reg))[:rng.integers(0, len(reg) + 1)]
+    m = assemble(Configuration(reg, vals), k, chosen)
+    sites = [tuple(s) for s in m.sites.tolist()]
+    assert sites == sorted(sites)
+    row = {s: r for r, s in enumerate(sites)}
+    want = sorted((row[s], row[t], c) for s in sites for v, c in k.offsets if any(v)
+                  for t in [tuple(np.add(s, v).tolist())] if row.get(t, -1) > row[s])
+    assert [(int(i), int(j), float(c)) for i, j, c in zip(m.off_i, m.off_j, m.off_v)] == want
+    assert m.off_i.dtype == m.off_j.dtype == np.int64 and m.off_v.dtype == np.float64
+
+
 def test_dense_guard():
     reg = LatticeRegion.box(1, 5000, 1)
     c = Configuration(reg, np.zeros(len(reg)))

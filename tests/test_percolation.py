@@ -299,3 +299,9 @@ def test_enumeration_guard(monkeypatch):
     assert err.value.reached == 28 + 19 * 4 * 4
     assert len(tried) <= 100  # growing size 4 to 5 would have tried up to 304 more
     assert enumerate_connected_subgraphs(adjacency_kernel(2), 4).counts() == [1, 2, 6, 19]
+
+
+@pytest.mark.parametrize("max_size", [0, -1])
+def test_enumeration_refuses_a_size_below_one(max_size):
+    with pytest.raises(PreconditionError, match="max_size must be >= 1"):
+        enumerate_connected_subgraphs(adjacency_kernel(2), max_size)

@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 from sympy import QQ, ZZ, Poly, Symbol
 from sympy.polys.matrices import DomainMatrix
 
-from perclab import (AlgebraicNumber, Configuration, LatticeRegion,
+from perclab import (AlgebraicNumber, Configuration, ExperimentParams, LatticeRegion,
                      PotentialDistribution, adjacency_kernel,
                      algebraic_constant, assemble, bernoulli_distribution,
                      charpoly_exact, cluster_spectrum_catalog,
-                     eigs_dense, enumerate_connected_subgraphs,
+                     eigs_dense, enumerate_connected_subgraphs, ids_jump,
                      kernel_dim_exact, luck_bound, mirror_embed,
                      sample_configuration, validate_kernel)
 from perclab import spectra
+from perclab.cli import run
 from perclab.errors import PreconditionError, ResourceGuardError
 from perclab.model import stencil_halo
 from perclab.operator import SymmetricOperatorMatrix
@@ -370,7 +371,32 @@ def test_zero_diagonal_block_keeps_its_slots_when_the_shift_zeroes_them(splu_cal
     assert splu_calls == ["MMD_AT_PLUS_A", "NATURAL"]
 
 
-# Panel width: a class's first factorization runs at scipy's default panel
+@pytest.mark.parametrize("energy, symmetric", [(CLUSTER_TOL + 1e-13, False),
+                                               (1 + CLUSTER_TOL + 1e-13, True)])
+def test_sparse_lu_aborts_that_raise_nothing_fall_back_to_the_dense_snap(energy, symmetric,
+                                                                         monkeypatch):
+    # shifts 1e-13 above the eigenvalues 0 and 1 of the free box: at 0 SuperLU
+    # pivots off the diagonal (perm_r != perm_c), at 1 it keeps the diagonal but
+    # a pivot of about 2e-13 lies within tolerance; neither raises
+    m, w = _free_box(2, 23)
+    factors, splu = [], spectra.spla.splu
+
+    def recording(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(spectra.spla, "splu", recording)
+    engine = BlockSpectra(m)
+    assert engine.counts_below([energy]).tolist() == \
+        [np.searchsorted(w, energy - CLUSTER_TOL, side="left")]
+    assert len(factors) == 1  # splu returned: no RuntimeError
+    lu, tol = factors[0], spectra.PIVOT_RTOL * (m.norm_bound + energy)
+    assert np.array_equal(lu.perm_r, lu.perm_c) == symmetric
+    assert not symmetric or np.abs(lu.U.diagonal()).min() <= tol  # the pivot-tolerance return
+    assert engine.large[0]._eigs is not None  # the block answers from its dense spectrum
+
+
+# Panel width:a class's first factorization runs at scipy's default panel
 # width, and its fill (entries stored in L and U) sets the width of every later
 # refactor: 1 below spectra._FILL_PER_ROW entries per row, else the default.
 # The percolation giant stores about 10 per row, the free 19 x 19 x 19 box
@@ -1516,6 +1542,51 @@ def test_mirror_rejects_non_finite_input(q, f, energies, message):
 def test_mirror_refuses_misshaped_states(f, energies):
     with pytest.raises(PreconditionError):
         mirror_embed([(0,), (1,)], DIMER_Q, f, energies)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: spectra._int_array(np.zeros((2, 3), dtype=np.int64)), PreconditionError,
+                 "expected a square matrix", id="int_array_not_square"),
+    pytest.param(lambda: spectra._int_array([[0.5]]), TypeError, "not exact integers",
+                 id="int_array_not_integer"),
+    pytest.param(lambda: mirror_embed([], DIMER_Q, np.zeros((0, 1)), [1.0]), PreconditionError,
+                 "empty support", id="mirror_empty_support"),
+    pytest.param(lambda: mirror_embed([(0,), (1,)], DIMER_Q, DIMER_F, [1.0],
+                                      validate_kernel({(2,): 1, (-2,): 1})),
+                 PreconditionError, "range-1 kernel", id="mirror_range_2_kernel"),
+    pytest.param(lambda: mirror_embed([(0,), (1,)], DIMER_Q, DIMER_F, [1.0], adjacency_kernel(2)),
+                 PreconditionError, "kernel dimension does not match",
+                 id="mirror_kernel_dimension"),
+    pytest.param(lambda: mirror_embed([(0,), (1,)], {(-1,): INF, (0,): 0.0, (1,): 0.0},
+                                      DIMER_F, [1.0]),
+                 PreconditionError, r"potential not provided on \(2,\)",
+                 id="mirror_missing_potential"),
+    pytest.param(lambda: mirror_embed([(0,), (1,)], {**DIMER_Q, (0,): INF}, DIMER_F, [1.0]),
+                 PreconditionError, r"support site \(0,\) is closed", id="mirror_closed_support"),
+    pytest.param(lambda: AlgebraicNumber((1, 2), approx=-0.5), PreconditionError, "monic",
+                 id="algebraic_not_monic"),
+    pytest.param(lambda: AlgebraicNumber((0.5, 1), approx=-0.5), PreconditionError,
+                 "integer coefficients", id="algebraic_not_integer"),
+])
+def test_spectra_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_projector_refuses_a_block_beyond_the_dense_guard_with_exit_4(tmp_path, capsys):
+    # the free 91 x 91 box is one block of 8,281 sites, beyond DENSE_GUARD
+    assert run(["ids", "--dim", "2", "--L", "45", "--p", "1", "--estimator", "projector_diag",
+                "--realizations", "1", "--out", str(tmp_path)]) == 4
+    assert "block of size 8281 exceeds guard 8192" in capsys.readouterr().err
+
+
+def test_an_integer_float_energy_gets_the_exact_column_of_its_integer():
+    # 1.0 reaches kernel_dim through _integer_energy's float branch
+    params = ExperimentParams(2, adjacency_kernel(2), bernoulli_distribution(0.6), 4,
+                              realizations=3, seed=2)
+    (as_float,), (as_int,) = (ids_jump(params, [e], (1e-6,)) for e in (1.0, 1))
+    assert as_float.exact_jump is not None and as_float.exact_jump > 0
+    assert as_float.to_csv_rows() == as_int.to_csv_rows()
 
 
 def test_mirror_with_no_states_returns_an_empty_block():
