@@ -210,8 +210,6 @@ class JumpEstimate:
     exact_jump: Optional[float]
     exact_stderr: Optional[float]
     catalog_energy: Optional[float]
-    realizations: int
-    halfwidth: int
 
     def to_csv_rows(self):
         rows = [("E", "window", "jump", "stderr", "exact", "catalog_match")]
@@ -273,8 +271,7 @@ def ids_jump(params: ExperimentParams, energies: Sequence, windows: Sequence[flo
             if dist <= 1e-6:
                 catalog_energy = float(entry.energy)
         estimates.append(JumpEstimate(e_float, windows, jumps, stderrs, exact_jump,
-                                      exact_stderr, catalog_energy,
-                                      params.realizations, params.halfwidth))
+                                      exact_stderr, catalog_energy))
     return estimates
 
 
@@ -289,8 +286,6 @@ class ClusterDensityProfile:
     g_stderr: np.ndarray
     g_infinity_proxy: float
     g_infinity_stderr: float
-    realizations: int
-    halfwidth: int
 
     def to_csv_rows(self):
         rows = [("n", "G", "stderr")]
@@ -321,8 +316,7 @@ def cluster_density_profile(params: ExperimentParams, n_max: int) -> ClusterDens
     binf = np.array([[b] for _, b in out])
     bm, bs = _mean_stderr(binf)
     return ClusterDensityProfile(np.arange(1, n_max + 1), g_mean, g_stderr,
-                                 float(bm[0]), float(bs[0]),
-                                 params.realizations, params.halfwidth)
+                                 float(bm[0]), float(bs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +334,6 @@ class WegnerReport:
     lhs_mean: float
     lhs_stderr: float
     ratio: float
-    realizations: int
-    halfwidth: int
 
     def to_csv_rows(self):
         return [
@@ -396,8 +388,7 @@ def wegner_experiment(params: ExperimentParams, intervals: Sequence, a: float,
         lhs = float(mean[0])
         ratio = lhs / ((hi - lo) * box_size)
         reports.append(WegnerReport((lo, hi), delta, s_minus, s_plus, f_sup, constant, lhs,
-                                    float(stderr[0]), ratio, params.realizations,
-                                    params.halfwidth))
+                                    float(stderr[0]), ratio))
     return reports
 
 
@@ -411,8 +402,6 @@ class ContinuityReport:
     windows: tuple
     jumps: np.ndarray         # shape (n_energies, n_windows)
     stderrs: np.ndarray
-    realizations: int
-    halfwidth: int
 
     def final_jump(self, energy: float) -> float:
         """Jump estimate at the finest window for one probed energy."""
@@ -441,8 +430,7 @@ def continuity_probe(params: ExperimentParams, energies: Sequence[float],
     samples = np.stack(_engine_rows(
         params, lambda engine: _window_jumps(engine, energies, windows, box_size)))
     mean, stderr = _mean_stderr(samples)
-    return ContinuityReport(energies, windows, mean, stderr,
-                            params.realizations, params.halfwidth)
+    return ContinuityReport(energies, windows, mean, stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +445,6 @@ class LogHoelderReport:
     bounds: np.ndarray
     lhs_max: np.ndarray       # worst single-realization increment per eps
     violations: int
-    realizations: int
-    halfwidth: int
 
     def to_csv_rows(self):
         rows = [("E", "eps", "lhs_max", "bound")]
@@ -502,8 +488,7 @@ def log_hoelder_check(params: ExperimentParams, energy: AlgebraicNumber,
     samples = np.stack(_engine_rows(params, row))
     lhs_max = samples.max(axis=0)
     violations = int((samples > bounds[None, :]).sum())
-    return LogHoelderReport(e0, c_e, eps, bounds, lhs_max, violations,
-                            params.realizations, params.halfwidth)
+    return LogHoelderReport(e0, c_e, eps, bounds, lhs_max, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ independent of traversal order and of any parallel scheduling.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -159,9 +158,11 @@ def validate_kernel(offsets) -> HoppingKernel:
 class PotentialDistribution:
     """Single-site law: finite atoms + piecewise-uniform density + mass at +inf.
 
-    The quantile function walks segments in a fixed order (atoms as listed,
-    then pieces as listed, then +inf), which pins the exact mapping from a
-    uniform variate to a value and hence the sampling determinism contract.
+    The quantile function walks one segment table in a fixed order (atoms as
+    listed, then pieces as listed, then +inf), which pins the exact mapping
+    from a uniform variate to a value and hence the sampling determinism
+    contract.  An atom's value is returned as stored, never computed, so a
+    -0.0 or +inf atom samples those very bits.
     """
 
     atoms: tuple = ()    # ((value, weight), ...)
@@ -194,26 +195,8 @@ class PotentialDistribution:
         return tuple((v, w) for v, w in self.atoms if w > 0 and math.isfinite(v))
 
     @property
-    def p_active(self) -> float:
-        return 1.0 - self.inactive_weight - sum(w for v, w in self.atoms if v == math.inf)
-
-    @property
-    def density_sup(self) -> float:
-        return max((w / (hi - lo) for lo, hi, w in self.pieces), default=0.0)
-
-    @property
-    def has_finite_atoms(self) -> bool:
-        return bool(self.finite_atoms)
-
-    @property
     def atomless_on_reals(self) -> bool:
-        return not self.has_finite_atoms
-
-    def max_abs_finite(self) -> float:
-        """Largest |value| the law can produce at finite sites."""
-        vals = [abs(v) for v, _ in self.finite_atoms]
-        vals += [max(abs(lo), abs(hi)) for lo, hi, w in self.pieces if w > 0]
-        return max(vals, default=0.0)
+        return not self.finite_atoms
 
     def mass_in(self, lo: float, hi: float) -> float:
         """Mass of the open interval ]lo, hi[ (atoms on the boundary excluded)."""
@@ -236,32 +219,26 @@ class PotentialDistribution:
         return max(sups, default=0.0)
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF, vectorized; values >= the total finite mass map to +inf."""
-        u = np.asarray(u, dtype=np.float64)
-        bounds = self._segment_bounds()
-        idx = np.searchsorted(bounds, u, side="right")
-        out = np.full(u.shape, np.inf)
-        n_atoms = len(self.atoms)
-        if n_atoms:
-            m = idx < n_atoms
-            if m.any():
-                vals = np.array([v for v, _ in self.atoms])
-                out[m] = vals[idx[m]]
-        n_seg = n_atoms + len(self.pieces)
-        m = (idx >= n_atoms) & (idx < n_seg)
-        if m.any():
-            los = np.array([lo for lo, _, _ in self.pieces])
-            spans = np.array([hi - lo for lo, hi, _ in self.pieces])
-            ws = np.array([w for _, _, w in self.pieces])
-            starts = np.concatenate([[0.0 if n_atoms == 0 else bounds[n_atoms - 1]],
-                                     bounds[n_atoms:n_seg - 1]]) if n_seg > n_atoms else np.array([])
-            k = idx[m] - n_atoms
-            out[m] = los[k] + (u[m] - starts[k]) / ws[k] * spans[k]
-        return out
+        """Inverse CDF, vectorized, over one table of (lo, span, weight) segments.
 
-    def _segment_bounds(self):
-        ws = [w for _, w in self.atoms] + [w for *_, w in self.pieces]
-        return np.cumsum(ws) if ws else np.array([])
+        Atoms are (value, 0, w), pieces (lo, hi - lo, w), and +inf closes the
+        table as (inf, 0, 1); a variate at or past the total finite mass lands
+        on it.  A piece adds (u - start) / w * span to its lo; an atom is never
+        added to, so -0.0 and +inf atoms keep their bits.
+        """
+        shape, u = np.shape(u), np.asarray(u, dtype=np.float64).ravel()
+        segments = ([(v, 0.0, w) for v, w in self.atoms]
+                    + [(lo, hi - lo, w) for lo, hi, w in self.pieces] + [(math.inf, 0.0, 1.0)])
+        lo, span, w = np.array(segments, dtype=np.float64).T
+        start = np.concatenate(([0.0], np.cumsum(w)))
+        # search the ends of the finite segments only: u past the last one, even
+        # u >= 1 or NaN, lands on the sentinel
+        k = np.searchsorted(start[1:-1], u, side="right")
+        out = lo[k]
+        m = span[k] > 0
+        k = k[m]
+        out[m] += (u[m] - start[k]) / w[k] * span[k]
+        return out.reshape(shape)
 
     def to_json_dict(self) -> dict:
         return {
@@ -279,10 +256,6 @@ class PotentialDistribution:
         except (AttributeError, TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed distribution: {exc}") from None
         return PotentialDistribution(atoms=atoms, pieces=pieces, inactive_weight=inactive)
-
-    @staticmethod
-    def from_json(text: str) -> "PotentialDistribution":
-        return PotentialDistribution.from_json_dict(json.loads(text))
 
 
 def bernoulli_distribution(p: float) -> PotentialDistribution:

@@ -102,9 +102,10 @@ def assemble(config: Configuration, kernel: HoppingKernel,
     """Hamiltonian restriction to the active sites of a chosen site set.
 
     site_indices index into the configuration's region (default: the whole
-    core).  The diagonal holds the finite potential values plus any constant
-    stencil term; the (i, j) entry is the stencil coefficient of the
-    displacement site_j - site_i whenever both sites are active and chosen.
+    core), each active site at most once.  The diagonal holds the finite
+    potential values plus any constant stencil term; the (i, j) entry is the
+    stencil coefficient of the displacement site_j - site_i whenever both
+    sites are active and chosen.
     Rows are sorted lexicographically by site, so LatticeRegion.edges over the
     kernel's half offsets returns the (i, j)-sorted upper triangle as it is.
     """
@@ -122,6 +123,9 @@ def assemble(config: Configuration, kernel: HoppingKernel,
         chosen = region.sites[rows_region]
         order = np.lexsort(chosen.T[::-1])
         rows_region = rows_region[order]
+        # a repeated index would give its site two rows; sorted, repeats are neighbours
+        if (rows_region[1:] == rows_region[:-1]).any():
+            raise PreconditionError("site_indices repeat an active site")
     n = len(rows_region)
 
     diag = config.values[rows_region] + kernel.diagonal_shift()

@@ -687,7 +687,7 @@ class AlgebraicNumber:
         try:  # np.roots and the root pick read the coefficients and denominator as floats
             coeffs = tuple(int(c) for c in min_poly)
             floats = [float(c) for c in coeffs]
-            float(denominator)
+            b = float(denominator)
         except OverflowError:
             raise PreconditionError(
                 "min_poly coefficients and denominator must lie within the float range") from None
@@ -695,7 +695,7 @@ class AlgebraicNumber:
             raise PreconditionError("min_poly must be monic of degree >= 1")
         if any(c != int(c) for c in min_poly):
             raise PreconditionError("min_poly must have integer coefficients")
-        if denominator < 1:
+        if not (b.is_integer() and b >= 1):  # before int(), so 2.7, nan and inf are refused
             raise PreconditionError("denominator must be a positive integer")
         if approx is not None and not math.isfinite(approx):
             raise PreconditionError("approx must be finite")
@@ -708,7 +708,6 @@ class AlgebraicNumber:
                      + [{i + k: c for k, c in enumerate(deriv)} for i in range(n)])
         if _sparse_rank(sylvester) < 2 * n - 1:
             raise PreconditionError("min_poly is not squarefree")
-        self.min_poly = coeffs
         self.denominator = int(denominator)
         self.degree = n
 
@@ -730,7 +729,6 @@ class AlgebraicNumber:
         scale = max(1.0, max(map(abs, floats)))
         if abs(np.polyval(floats[::-1], alpha)) > 1e-6 * scale * max(1.0, abs(alpha)) ** self.degree:
             raise PreconditionError("numeric value does not satisfy the minimal polynomial")
-        self.alpha = alpha
         self.value = alpha / denominator
         self.root_bound = 1.0 + max(map(abs, floats[:-1]))
         if len(roots) and np.abs(roots).max() > self.root_bound + 1e-9:

@@ -520,6 +520,19 @@ GOLDEN = {
     "jumps_d3": (["jumps", "--dim", "3", "--L", "4", "--p", "0.8", "--E", "0", "--E", "1",
                   "--windows", "1e-6", "--catalog-maxsize", "0", "--realizations", "3"],
                  "9c9cbff958bc3e4630cde950f57daf50ec52cf1fb62bb52c0c51163f751beaa2"),
+    # recorded before the potential law sampled from one segment table: -0.0,
+    # +inf and zero-weight atoms next to two pieces, and atoms at 0 and 1 whose
+    # exact and numeric jump columns agree
+    "ids_mixed_law": (["ids", "--dim", "2", "--L", "10", "--dist",
+                       '{"atoms": [[-0.0, 0.2], [1.0, 0.15], [Infinity, 0.1], [3.0, 0.0]], '
+                       '"pieces": [[-1.0, 0.5, 0.25], [2.0, 2.5, 0.1]], "inactive": 0.2}',
+                       "--realizations", "3", "--seed", "12"],
+                      "2767b2e7374d095303fe8b4c8ae667518daf70d5a7b6e2a8126afaf338cba2c4"),
+    "jumps_two_atoms": (["jumps", "--dim", "2", "--L", "8", "--dist",
+                         '{"atoms": [[0, 0.45], [1, 0.3]], "inactive": 0.25}',
+                         "--E", "0", "--E", "1", "--windows", "1e-6", "--realizations", "3",
+                         "--seed", "14", "--catalog-maxsize", "4"],
+                        "4c4074304192e73f0120b2cde7431137ffdeb8c0802f5407413fbe163bb15191"),
 }
 
 # sha256 of catalog.csv and subgraphs.json written by the code as it was

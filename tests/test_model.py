@@ -17,6 +17,8 @@ from perclab import (LatticeRegion, PotentialDistribution,
 from perclab.errors import PreconditionError, ResourceGuardError
 from perclab.model import BOX_SITE_MAX
 
+from oracles import quantile as oracle_quantile
+
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -263,31 +265,25 @@ def test_a_piece_needs_finite_ends_and_a_finite_width(lo, hi):
 def test_distribution_derived_quantities():
     d = PotentialDistribution(atoms=((0.0, 0.2),), pieces=((-1.0, 1.0, 0.5),),
                               inactive_weight=0.3)
-    assert math.isclose(d.p_active, 0.7)
-    assert math.isclose(d.density_sup, 0.25)
-    assert d.has_finite_atoms and not d.atomless_on_reals
+    assert not d.atomless_on_reals
     assert math.isclose(d.mass_in(-1.0, 1.0), 0.5 + 0.2)  # atom at 0 included
     assert math.isclose(d.mass_in(-0.5, 0.5), 0.25 + 0.2)
     assert math.isclose(d.mass_in(0.25, 1.0), 0.1875)
-    assert math.isclose(d.max_abs_finite(), 1.0)
 
 
 def test_an_atom_at_infinity_is_closed_sites():
     d = PotentialDistribution(atoms=((math.inf, 0.3), (2.0, 0.2), (-1.0, 0.0)),
                               pieces=((0.0, 1.0, 0.5),))
     assert d.finite_atoms == ((2.0, 0.2),)
-    assert math.isclose(d.p_active, 0.7)
-    assert math.isclose(d.max_abs_finite(), 2.0)
     assert d.atoms_in(-math.inf, math.inf) == [(2.0, 0.2)]
     only_closed = PotentialDistribution(atoms=((math.inf, 0.4),), pieces=((0.0, 1.0, 0.6),))
-    assert not only_closed.has_finite_atoms and only_closed.atomless_on_reals
-    assert only_closed.max_abs_finite() == 1.0
+    assert only_closed.atomless_on_reals
 
 
 def test_distribution_json_roundtrip():
     d = PotentialDistribution(atoms=((0.0, 0.25), (2.0, 0.25)),
                               pieces=((3.0, 4.0, 0.25),), inactive_weight=0.25)
-    assert PotentialDistribution.from_json(json.dumps(d.to_json_dict())) == d
+    assert PotentialDistribution.from_json_dict(json.loads(json.dumps(d.to_json_dict()))) == d
 
 
 def test_quantile_segment_order():
@@ -300,6 +296,40 @@ def test_quantile_segment_order():
     assert 0.0 <= v[4] < 1.0 and math.isclose(v[5], 0.5)
     assert math.isclose(v[6], 0.96)
     assert math.isinf(v[7]) and math.isinf(v[8])
+
+
+@st.composite
+def potential_laws(draw):
+    """Laws with -0.0, +inf and zero-weight atoms, zero-weight pieces in any
+    listed order, or only closed mass."""
+    value = st.sampled_from([-0.0, 0.0, 1.0, math.inf]) | st.floats(-1e3, 1e3)
+    weight = st.sampled_from([0.0, 0.0, 1.0]) | st.floats(0.0, 1.0)
+    atom_values = draw(st.lists(value, max_size=4))
+    ends = sorted(draw(st.lists(st.floats(-1e3, 1e3), max_size=6, unique=True)))
+    spans = draw(st.permutations(list(zip(ends[::2], ends[1::2]))))
+    spans = [(lo, hi) for lo, hi in spans if lo < hi]
+    raw = draw(st.lists(weight, min_size=len(atom_values) + len(spans) + 1,
+                        max_size=len(atom_values) + len(spans) + 1))
+    total = sum(raw)
+    if total == 0:
+        return PotentialDistribution(inactive_weight=1.0)
+    w = [x / total for x in raw]
+    atoms = tuple(zip(atom_values, w))
+    pieces = tuple((lo, hi, x) for (lo, hi), x in zip(spans, w[len(atom_values):]))
+    return PotentialDistribution(atoms=atoms, pieces=pieces, inactive_weight=w[-1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(potential_laws(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_quantile_matches_the_two_branch_oracle_bit_for_bit(dist, extra):
+    bounds = np.cumsum([w for _, w in dist.atoms] + [w for *_, w in dist.pieces])
+    u = np.concatenate([[0.0, 1.0 - 2.0 ** -53], bounds, np.nextafter(bounds, 0.0),
+                        np.nextafter(bounds, 1.0), extra])
+    u = u[(u >= 0) & (u <= 1)]
+    assert dist.quantile(u).tobytes() == oracle_quantile(dist, u).tobytes()
+    for shaped in (u[0], u[:2].reshape(2, 1)):  # a scalar and a column keep their shapes
+        got, want = dist.quantile(shaped), oracle_quantile(dist, shaped)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,16 @@ def test_site_outside_region_errors():
         assemble(c, adjacency_kernel(1), np.array([999]))
 
 
+def test_repeated_site_indices_are_refused():
+    # the free 5-site chain: region indices 2 and 3 are the sites 0 and 1, so
+    # [2, 2, 3] would give site 0 two rows and the spectrum {-sqrt 2, 0, sqrt 2}
+    c = Configuration(LatticeRegion.box(1, 2), np.zeros(5))
+    assert np.allclose(np.linalg.eigvalsh(assemble(c, adjacency_kernel(1), [2, 3]).to_dense()),
+                       [-1.0, 1.0])
+    with pytest.raises(PreconditionError, match="repeat"):
+        assemble(c, adjacency_kernel(1), np.array([2, 2, 3]))
+
+
 def test_kernel_of_another_dimension_errors():
     # refused before the empty-input shortcut, so an inactive box is refused too
     reg = LatticeRegion.box(2, 2, 1)

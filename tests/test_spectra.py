@@ -1285,6 +1285,18 @@ def test_algebraic_number_refuses_an_approx_that_singles_out_no_root(approx, den
         AlgebraicNumber((-2, 0, 1), denominator, approx)
 
 
+@pytest.mark.parametrize("denominator", [2.7, 1.5, math.nan, math.inf])
+def test_algebraic_number_refuses_a_denominator_that_is_no_finite_integer(denominator):
+    # 2.7 used to store b = 2 with value 1/2.7, and 1.5 to pick sqrt 2 at approx * 1.5
+    # and then record b = 1; nan and inf fell through to a bare ValueError or OverflowError
+    with pytest.raises(PreconditionError, match="positive integer"):
+        AlgebraicNumber((-1, 1), denominator)
+    with pytest.raises(PreconditionError, match="positive integer"):
+        AlgebraicNumber((-2, 0, 1), denominator, approx=0.9428)
+    e = AlgebraicNumber((-2, 0, 1), 3.0, approx=math.sqrt(2) / 3)
+    assert e.denominator == 3 and math.isclose(e.value, math.sqrt(2) / 3)
+
+
 def test_algebraic_number_needs_root_choice():
     with pytest.raises(PreconditionError):
         AlgebraicNumber((-2, 0, 1))
