@@ -329,7 +329,6 @@ class WegnerReport:
     delta: float
     s_minus: float
     s_plus: float
-    density_sup: float
     constant: float
     lhs_mean: float
     lhs_stderr: float
@@ -387,7 +386,7 @@ def wegner_experiment(params: ExperimentParams, intervals: Sequence, a: float,
         mean, stderr = _mean_stderr(np.array([[counts[j]] for counts in out]))
         lhs = float(mean[0])
         ratio = lhs / ((hi - lo) * box_size)
-        reports.append(WegnerReport((lo, hi), delta, s_minus, s_plus, f_sup, constant, lhs,
+        reports.append(WegnerReport((lo, hi), delta, s_minus, s_plus, constant, lhs,
                                     float(stderr[0]), ratio))
     return reports
 

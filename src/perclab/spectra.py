@@ -28,10 +28,14 @@ block's bits, and solves one representative per class on every route (dense,
 Sturm, sparse LU, exact, projector), weighting it by the class size.  No
 block result is cached across calls or realizations.
 
-The finite-cluster catalog builds the hopping matrices of all subgraph
+The finite-cluster catalog builds the hopping matrices of the subgraph
 classes of one size at once from their pair offsets and diagonalizes them in
 stacks of bounded size; candidate energies are clustered and deduplicated
-with array sorts.
+with array sorts.  A class and its image under a signed axis permutation
+that preserves the kernel have the same spectra, so only each orbit's
+lowest-numbered class is diagonalized, and it stands for its orbit.  The
+group is searched only up to d = 4; above that every class is its own orbit.
+The guards still count every translation class.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ KERNEL_FILTER_RTOL = 1e-6  # kernel_dim's margin, times max(1, norm bound)
 ASSIGNMENT_GUARD = 10 ** 6
 WITNESS_SITE_GUARD = 10 ** 8  # most witness sites a catalog's entries may list
 _CATALOG_STACK = 1 << 16  # matrix entries per batched eigvalsh in the catalog
+_SYMMETRY_DIM_MAX = 4     # the catalog searches signed axis permutations up to this d
 _FILL_PER_ROW = 128       # below this fill per row a large block refactors at panel width 1
 
 
@@ -787,7 +792,6 @@ class FiniteSpectrumCatalog:
     """Deduplicated energies arising from finite clusters up to a given size."""
 
     entries: list
-    max_size: int
     atom_values: tuple
 
     @property
@@ -815,11 +819,10 @@ class FiniteSpectrumCatalog:
         return rows
 
 
-def _class_adjacency(classes, kernel: HoppingKernel) -> np.ndarray:
-    """Hopping matrices of equal-size site classes, stacked; zero diagonal."""
-    k, size = len(classes), len(classes[0])
-    sites = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(classes)),
-                        dtype=np.int64, count=k * size * kernel.dim).reshape(k, size, kernel.dim)
+def _class_adjacency(sites: np.ndarray, kernel: HoppingKernel) -> np.ndarray:
+    """Hopping matrices of equal-size site classes (k, size, dim), stacked;
+    zero diagonal."""
+    k, size = sites.shape[:2]
     i, j = np.triu_indices(size, 1)
     steps = sites[:, j] - sites[:, i]
     hops = np.zeros(steps.shape[:2])
@@ -829,6 +832,53 @@ def _class_adjacency(classes, kernel: HoppingKernel) -> np.ndarray:
     out = np.zeros((k, size, size))
     out[:, i, j] = out[:, j, i] = hops
     return out
+
+
+def _symmetry_group(kernel: HoppingKernel) -> list:
+    """The signed axis permutations g v = signs * v[perm] with c(g v) = c(v) on
+    every offset, identity first, as (perm, signs) arrays; searched only up to
+    dimension _SYMMETRY_DIM_MAX, the identity alone above it."""
+    d = kernel.dim
+    if d > _SYMMETRY_DIM_MAX:
+        return [(np.arange(d), np.ones(d, dtype=np.int64))]
+    table = dict(kernel.offsets)
+    return [(np.array(perm), np.array(signs))
+            for perm in itertools.permutations(range(d))
+            for signs in itertools.product((1, -1), repeat=d)
+            if all(table.get(tuple(s * v[i] for i, s in zip(perm, signs)), 0) == c
+                   for v, c in kernel.offsets)]
+
+
+def _orbit_heads(sites: np.ndarray, group: list) -> np.ndarray:
+    """Indices of the classes (k, size, dim), each sorted with its smallest site
+    at the origin and listed in that order, that no group element maps onto a
+    smaller one: each orbit's lowest-numbered class.  Images are put in the
+    same form and compared as rows of int64 codes when base**dim fits, of the
+    sites themselves otherwise."""
+    dim = sites.shape[2]
+    base = 2 * int(np.abs(sites).max()) + 1
+    place = base ** np.arange(dim - 1, -1, -1) if base ** dim < 2 ** 63 else None
+
+    def normal(kept, perm, signs):
+        if place is None:
+            image = sites[kept][:, :, perm] * signs
+            order = np.lexsort(image.transpose(2, 0, 1)[::-1])
+            image = np.take_along_axis(image, order[:, :, None], axis=1)
+            return (image - image[:, :1]).reshape(len(kept), -1)
+        moved = np.empty(dim, dtype=np.int64)
+        moved[perm] = signs * place  # the code of g x is x @ moved
+        codes = np.sort(sites[kept] @ moved, axis=1)
+        return codes - codes[:, :1]
+
+    kept = np.arange(len(sites))
+    own = normal(kept, *group[0])
+    for g in group[1:]:
+        image, mine = normal(kept, *g), own[kept]
+        differ = image != mine
+        first = differ.argmax(axis=1)
+        rows = np.arange(len(kept))
+        kept = kept[~(differ[rows, first] & (image[rows, first] < mine[rows, first]))]
+    return kept
 
 
 def _group_heads(w: np.ndarray) -> np.ndarray:
@@ -856,6 +906,12 @@ def cluster_spectrum_catalog(catalog: SubgraphCatalog, atom_values=(0.0,)) -> Fi
     within CLUSTER_TOL; each chain keeps its candidate from the
     lowest-numbered matrix, the lowest energy among that matrix's.  The
     matrices are diagonalized in stacks of at most _CATALOG_STACK entries.
+
+    Only each symmetry orbit's lowest-numbered class is diagonalized, with
+    every assignment, and stands for its orbit: each other member's matrix is
+    a permutation similarity of a lower-numbered one, which the chain keeps.
+    The group (_symmetry_group) is searched only up to d = _SYMMETRY_DIM_MAX.
+    Both guards still count every translation class times every assignment.
     """
     atom_values = tuple(dict.fromkeys(float(v) for v in atom_values))
     if not atom_values or not all(map(math.isfinite, atom_values)):
@@ -873,6 +929,7 @@ def cluster_spectrum_catalog(catalog: SubgraphCatalog, atom_values=(0.0,)) -> Fi
         raise ResourceGuardError(f"catalog entries could list {listed} witness sites, "
                                  f"beyond guard {WITNESS_SITE_GUARD}", reached=listed)
     kernel = catalog.kernel
+    group = _symmetry_group(kernel)
     atoms = np.array(atom_values)
     shift = kernel.diagonal_shift()
     firsts = []                   # number of each size's first matrix
@@ -880,20 +937,24 @@ def cluster_spectrum_catalog(catalog: SubgraphCatalog, atom_values=(0.0,)) -> Fi
     numbered = 0
     for size in range(1, catalog.max_size + 1):
         classes = catalog.classes(size)
+        shape = (len(classes), size, kernel.dim)
+        sites = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(classes)),
+                            dtype=np.int64, count=math.prod(shape)).reshape(shape)
+        kept = _orbit_heads(sites, group)
         n_assign = len(atoms) ** size
         firsts.append(numbered)
         place = len(atoms) ** np.arange(size - 1, -1, -1)
         diag = np.arange(size)
         step = max(1, _CATALOG_STACK // size ** 2)
-        for lo in range(0, len(classes) * n_assign, step):
-            m = np.arange(lo, min(lo + step, len(classes) * n_assign))
-            cls, assignment = np.divmod(m, n_assign)
-            a = _class_adjacency(classes[cls[0]:cls[-1] + 1], kernel)[cls - cls[0]]
+        for lo in range(0, len(kept) * n_assign, step):
+            row, assignment = np.divmod(np.arange(lo, min(lo + step, len(kept) * n_assign)),
+                                        n_assign)
+            a = _class_adjacency(sites[kept[row[0]:row[-1] + 1]], kernel)[row - row[0]]
             a[:, diag, diag] = atoms[assignment[:, None] // place % len(atoms)] + shift
             w = np.linalg.eigvalsh(a)
             heads = np.flatnonzero(_group_heads(w))
             energy.append(w.ravel()[heads])
-            matrix.append(numbered + lo + heads // size)
+            matrix.append((numbered + kept[row] * n_assign + assignment)[heads // size])
             mult.append(np.diff(heads, append=w.size))
         numbered += len(classes) * n_assign
     energy, matrix, mult = (np.concatenate(x) for x in (energy, matrix, mult))
@@ -908,7 +969,7 @@ def cluster_spectrum_catalog(catalog: SubgraphCatalog, atom_values=(0.0,)) -> Fi
         size = bisect.bisect_right(firsts, number)
         sites = catalog.classes(size)[(number - firsts[size - 1]) // len(atoms) ** size]
         entries.append(CatalogEntry(e, sites, size, count))
-    return FiniteSpectrumCatalog(entries, catalog.max_size, atom_values)
+    return FiniteSpectrumCatalog(entries, atom_values)
 
 
 # ---------------------------------------------------------------------------

@@ -423,6 +423,8 @@ def test_console_entry_point():
 ANISOTROPIC_RANGE_2 = json.dumps({"offsets": [
     [[1, 0], 1], [[-1, 0], 1], [[0, 1], 0.5], [[0, -1], 0.5], [[2, 0], 0.25], [[-2, 0], 0.25],
     [[1, 1], -0.75], [[-1, -1], -0.75], [[0, 0], 0.125]]})
+DIAGONAL_HOP = json.dumps({"offsets": [
+    [[1, 0], 1], [[-1, 0], 1], [[0, 1], 1], [[0, -1], 1], [[1, 1], 0.5], [[-1, -1], 0.5]]})
 
 # sha256 of CSVs written by the code as it was before the jumps and Wegner
 # drivers took all their energies and intervals in one pass over realizations
@@ -533,6 +535,15 @@ GOLDEN = {
                          "--E", "0", "--E", "1", "--windows", "1e-6", "--realizations", "3",
                          "--seed", "14", "--catalog-maxsize", "4"],
                         "4c4074304192e73f0120b2cde7431137ffdeb8c0802f5407413fbe163bb15191"),
+    # recorded before the catalog diagonalized one class per symmetry orbit:
+    # the window comes from jump_window_for_catalog, so the digest covers the
+    # catalog's whole energy list, and a d=3 catalog feeds jumps
+    "jumps_catalog_window": (["jumps", "--dim", "2", "--L", "8", "--p", "0.8", "--E", "0",
+                              "--E", "1", "--realizations", "2", "--seed", "9"],
+                             "44d13b76c3e40213fdd3a9e23eb2af835f655438be0892a77b8b2507a73d67c8"),
+    "jumps_d3_catalog": (["jumps", "--dim", "3", "--L", "3", "--p", "0.3", "--E", "0",
+                          "--realizations", "1", "--catalog-maxsize", "6"],
+                         "430b551c38e67ab95e67e03f93bf64e4fcbcf2753ef4a2ab5472165ccd358d20"),
 }
 
 # sha256 of catalog.csv and subgraphs.json written by the code as it was
@@ -557,6 +568,15 @@ CATALOG_GOLDEN = {
     "anisotropic_range_2": (["--dim", "2", "--maxsize", "5", "--kernel", ANISOTROPIC_RANGE_2],
                             "4e69461dc797f3d40be1949a69f10e7ec63e64123bf11c6722a9b4980e563e5c",
                             "b190b2fa5b41eaebd9a9895ef1414f6032ceeaca4deabe9c8f717e7ebd03076d"),
+    # recorded before the catalog diagonalized one class per symmetry orbit:
+    # the 48-element group of d=3 above size 6, and the group {+-I, +-swap},
+    # which axis sign flips do not generate
+    "d3_maxsize_7": (["--dim", "3", "--maxsize", "7"],
+                     "9632ebbd83bcbad3ee9e7e2f58b61ab1b35ca0c20b43376ca309aec4b5892c68",
+                     "2faf740c3d2d349c494213389244e44ff58e8af68a858fc19a75439daa9cd659"),
+    "diagonal_hop": (["--dim", "2", "--maxsize", "6", "--kernel", DIAGONAL_HOP],
+                     "569fb632d1147594cccb0afef9389118ceb944243a816f835b6bbe7ce3399bb6",
+                     "9875e264f4798793397d60350d18948f6a2688f64dfe584670e957ab7e8ccc60"),
 }
 
 

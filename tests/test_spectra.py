@@ -1413,7 +1413,7 @@ def _oracle_catalog(by_size, kernel, atom_values):
 
 
 @st.composite
-def small_kernels(draw):
+def _drawn_kernels(draw):
     """Stencils of range <= 2 in d = 1..3, anisotropic, some with a diagonal."""
     dim = draw(st.integers(1, 3))
     half = [v for v in itertools.product(range(-2, 3), repeat=dim)
@@ -1426,6 +1426,23 @@ def small_kernels(draw):
     if draw(st.booleans()):
         offsets.append(((0,) * dim, draw(coefficient)))
     return validate_kernel(offsets)
+
+
+@st.composite
+def _symmetric_kernels(draw):
+    """The adjacency kernel in d = 1..3, alone, plus one pair of diagonal hops,
+    or plus every diagonal hop, the diagonals with one coefficient: full or
+    partial symmetry, which a drawn stencil rarely has."""
+    dim = draw(st.integers(1, 3))
+    diagonals = [v for v in itertools.product((-1, 0, 1), repeat=dim) if sum(map(abs, v)) == 2]
+    pair = [(1, 1) + (0,) * (dim - 2), (-1, -1) + (0,) * (dim - 2)] if dim > 1 else []
+    c = draw(st.sampled_from((1, 0.5, -0.75)))
+    hops = draw(st.sampled_from(([], pair, diagonals)))
+    return validate_kernel(list(adjacency_kernel(dim).offsets) + [(v, c) for v in hops])
+
+
+def small_kernels():
+    return st.one_of(_drawn_kernels(), _symmetric_kernels())
 
 
 def _largest_size(kernel, max_size, cost):
@@ -1455,6 +1472,61 @@ def test_catalog_matches_the_one_set_and_one_matrix_at_a_time_oracles(kernel, ma
            for e in spec.entries]
     assert got == _oracle_catalog(shapes.by_size, kernel, atoms)
     assert spec.atom_values == tuple(dict.fromkeys(atoms))
+
+
+def _solved_per_size(monkeypatch, kernel, max_size, atoms=(0.0,)):
+    """The catalog of kernel up to max_size and the number of matrices it hands
+    to eigvalsh, per size."""
+    eigvalsh, solved = np.linalg.eigvalsh, collections.Counter()
+
+    def counting(a):
+        solved[a.shape[-1]] += len(a)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    spec = cluster_spectrum_catalog(enumerate_connected_subgraphs(kernel, max_size), atoms)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return spec, [solved[s] for s in range(1, max_size + 1)]
+
+
+@pytest.mark.parametrize("dim, free", [
+    (2, [1, 1, 2, 5, 12, 35, 108, 369]),   # free polyominoes, OEIS A000105
+    (3, [1, 1, 2, 7, 23, 112, 607]),       # free polycubes, mirror images identified, A038119
+])
+def test_catalog_diagonalizes_one_class_per_orbit(dim, free, monkeypatch):
+    assert _solved_per_size(monkeypatch, adjacency_kernel(dim), len(free))[1] == free
+
+
+def _kernel(hops):
+    """The kernel with coefficient c on +-v for each (v, c)."""
+    return validate_kernel({w: c for v, c in hops for w in (v, tuple(-x for x in v))})
+
+
+@pytest.mark.parametrize("kernel, order", [
+    (adjacency_kernel(1), 2), (adjacency_kernel(2), 8), (adjacency_kernel(3), 48),
+    (adjacency_kernel(4), 384),
+    (adjacency_kernel(5), 1),  # searched only up to d = 4
+    # ANISOTROPIC_RANGE_2 of the CLI tests: only -I keeps its offsets
+    (_kernel([((1, 0), 1), ((0, 1), 0.5), ((2, 0), 0.25), ((1, 1), -0.75), ((0, 0), 0.125)]), 2),
+    # the diagonal-hop kernel: {+-I, +-swap}
+    (_kernel([((1, 0), 1), ((0, 1), 1), ((1, 1), 0.5)]), 4),
+    # the swap keeps the support but not the coefficients: sign flips only
+    (_kernel([((1, 0), 1), ((0, 1), 0.5)]), 4),
+])
+def test_symmetry_group_order(kernel, order):
+    assert len(spectra._symmetry_group(kernel)) == order
+
+
+def test_catalog_compares_unpacked_sites_where_codes_would_overflow(monkeypatch):
+    # hops of range 10**6 along z put base**3 beyond 2**63 from size 3 on; the
+    # same stencil at range 2 packs, and its classes correspond one to one
+    far, near = (_kernel([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, z), 1)]) for z in (10 ** 6, 2))
+    spec, solved = _solved_per_size(monkeypatch, far, 4, (0.0, 1.0))
+    assert solved == _solved_per_size(monkeypatch, near, 4, (0.0, 1.0))[1] == [2, 8, 32, 256]
+    got = [(e.energy.hex(), e.witness_sites, e.witness_size, e.multiplicity)
+           for e in spec.entries]
+    shapes = enumerate_connected_subgraphs(far, 4)
+    assert got == _oracle_catalog(shapes.by_size, far, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
