@@ -34,7 +34,8 @@ stacks of bounded size; candidate energies are clustered and deduplicated
 with array sorts.  A class and its image under a signed axis permutation
 that preserves the kernel have the same spectra, so only each orbit's
 lowest-numbered class is diagonalized, and it stands for its orbit.  The
-group is searched only up to d = 4; above that every class is its own orbit.
+group is searched only up to d = 4; above that, and where the packed site
+codes of a size would overflow int64, every class is its own orbit.
 The guards still count every translation class.
 """
 
@@ -853,18 +854,15 @@ def _orbit_heads(sites: np.ndarray, group: list) -> np.ndarray:
     """Indices of the classes (k, size, dim), each sorted with its smallest site
     at the origin and listed in that order, that no group element maps onto a
     smaller one: each orbit's lowest-numbered class.  Images are put in the
-    same form and compared as rows of int64 codes when base**dim fits, of the
-    sites themselves otherwise."""
+    same form and compared as rows of int64 codes; where base**dim would not
+    fit in them, every class is kept, as under the identity alone."""
     dim = sites.shape[2]
     base = 2 * int(np.abs(sites).max()) + 1
-    place = base ** np.arange(dim - 1, -1, -1) if base ** dim < 2 ** 63 else None
+    if base ** dim >= 2 ** 63:
+        return np.arange(len(sites))
+    place = base ** np.arange(dim - 1, -1, -1)
 
     def normal(kept, perm, signs):
-        if place is None:
-            image = sites[kept][:, :, perm] * signs
-            order = np.lexsort(image.transpose(2, 0, 1)[::-1])
-            image = np.take_along_axis(image, order[:, :, None], axis=1)
-            return (image - image[:, :1]).reshape(len(kept), -1)
         moved = np.empty(dim, dtype=np.int64)
         moved[perm] = signs * place  # the code of g x is x @ moved
         codes = np.sort(sites[kept] @ moved, axis=1)
@@ -909,7 +907,11 @@ def cluster_spectrum_catalog(catalog: SubgraphCatalog, atom_values=(0.0,)) -> Fi
 
     Only each symmetry orbit's lowest-numbered class is diagonalized, with
     every assignment, and stands for its orbit: each other member's matrix is
-    a permutation similarity of a lower-numbered one, which the chain keeps.
+    a permutation similarity of a lower-numbered one, whose candidates are the
+    same in exact arithmetic.  eigvalsh may round the two differently in the
+    last bits, so a dropped candidate that bridged a chain gap lying within
+    rounding of CLUSTER_TOL could leave that chain split; the GOLDEN,
+    CATALOG_GOLDEN and benchmark seed-sweep digests pin the bits.
     The group (_symmetry_group) is searched only up to d = _SYMMETRY_DIM_MAX.
     Both guards still count every translation class times every assignment.
     """

@@ -1517,15 +1517,15 @@ def test_symmetry_group_order(kernel, order):
     assert len(spectra._symmetry_group(kernel)) == order
 
 
-def test_catalog_compares_unpacked_sites_where_codes_would_overflow(monkeypatch):
-    # hops of range 10**6 along z put base**3 beyond 2**63 from size 3 on; the
-    # same stencil at range 2 packs, and its classes correspond one to one
-    far, near = (_kernel([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, z), 1)]) for z in (10 ** 6, 2))
+def test_catalog_keeps_every_class_where_codes_would_overflow(monkeypatch):
+    # hops of range 10**6 along z put base**3 beyond 2**63 from size 3 on, so
+    # those sizes diagonalize every translation class
+    far = _kernel([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 10 ** 6), 1)])
     spec, solved = _solved_per_size(monkeypatch, far, 4, (0.0, 1.0))
-    assert solved == _solved_per_size(monkeypatch, near, 4, (0.0, 1.0))[1] == [2, 8, 32, 256]
+    shapes = enumerate_connected_subgraphs(far, 4)
+    assert solved[2:] == [len(shapes.classes(s)) * 2 ** s for s in (3, 4)]
     got = [(e.energy.hex(), e.witness_sites, e.witness_size, e.multiplicity)
            for e in spec.entries]
-    shapes = enumerate_connected_subgraphs(far, 4)
     assert got == _oracle_catalog(shapes.by_size, far, (0.0, 1.0))
 
 
